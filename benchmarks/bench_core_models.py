@@ -81,7 +81,7 @@ def test_bench_layer_optimization(benchmark, record_bench):
     )
 
 
-def test_bench_cold_sweep_vectorized_vs_scalar(benchmark, record_bench):
+def test_bench_cold_sweep_vectorized_vs_scalar(timed_pedantic, record_bench):
     """Cold C3D sweep: columnar batch pipeline vs scalar reference.
 
     Cache off, parallelism pinned to 1, same options — the only variable
@@ -103,10 +103,10 @@ def test_bench_cold_sweep_vectorized_vs_scalar(benchmark, record_bench):
     scalar = cold(False)
     scalar_s = time.perf_counter() - start
 
-    batch = benchmark.pedantic(
-        cold, args=(True,), rounds=1, iterations=1, warmup_rounds=0
+    batch, batch_s = timed_pedantic(
+        cold, stat="total", args=(True,), rounds=1, iterations=1,
+        warmup_rounds=0,
     )
-    batch_s = benchmark.stats.stats.total
 
     for a, b in zip(scalar.layers, batch.layers):
         assert a.best.dataflow == b.best.dataflow, a.layer.name

@@ -51,7 +51,7 @@ def _assert_identical_reports(a, b) -> None:
     assert a.dram_psum_writeback_bytes() == b.dram_psum_writeback_bytes()
 
 
-def test_bench_trace_columnar_vs_scalar(benchmark, record_bench):
+def test_bench_trace_columnar_vs_scalar(timed_pedantic, record_bench):
     """Full-schedule residency trace: columnar pass vs scalar walk.
 
     Same simulator (shared kernels), bit-identical counters — the only
@@ -62,11 +62,10 @@ def test_bench_trace_columnar_vs_scalar(benchmark, record_bench):
     scalar = trace_dataflow(DATAFLOW, vectorize=False)
     scalar_s = time.perf_counter() - start
 
-    columnar = benchmark.pedantic(
-        trace_dataflow, args=(DATAFLOW,), kwargs=dict(vectorize=True),
-        rounds=3, iterations=1, warmup_rounds=1,
+    columnar, columnar_s = timed_pedantic(
+        trace_dataflow, stat="min", args=(DATAFLOW,),
+        kwargs=dict(vectorize=True), rounds=3, iterations=1, warmup_rounds=1,
     )
-    columnar_s = benchmark.stats.stats.min
 
     _assert_identical_reports(scalar, columnar)
     speedup = scalar_s / columnar_s
@@ -82,18 +81,17 @@ def test_bench_trace_columnar_vs_scalar(benchmark, record_bench):
     assert speedup >= 20.0, f"columnar trace only {speedup:.1f}x faster"
 
 
-def test_bench_pipeline_columnar_vs_scalar(benchmark, record_bench):
+def test_bench_pipeline_columnar_vs_scalar(timed_pedantic, record_bench):
     """Double-buffered pipeline timing: columnar pass vs scalar walk."""
     arch = morph()
     start = time.perf_counter()
     scalar = simulate_pipeline(DATAFLOW, arch, vectorize=False)
     scalar_s = time.perf_counter() - start
 
-    columnar = benchmark.pedantic(
-        simulate_pipeline, args=(DATAFLOW, arch),
+    columnar, columnar_s = timed_pedantic(
+        simulate_pipeline, stat="min", args=(DATAFLOW, arch),
         kwargs=dict(vectorize=True), rounds=3, iterations=1, warmup_rounds=1,
     )
-    columnar_s = benchmark.stats.stats.min
 
     assert columnar == scalar  # every field, cycles included, bit-identical
     record_bench(

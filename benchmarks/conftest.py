@@ -55,6 +55,27 @@ def once(benchmark):
 
 
 @pytest.fixture
+def timed_pedantic(benchmark):
+    """``benchmark.pedantic`` that also returns the measured seconds.
+
+    Usage: ``result, seconds = timed_pedantic(func, stat="min", args=...,
+    rounds=3)``.  ``stat`` names the pytest-benchmark statistic to report.
+    Under ``--benchmark-disable`` the benchmark keeps no statistics and
+    runs ``func`` once, so that one call's ``perf_counter`` wall time is
+    reported instead.
+    """
+
+    def runner(func, *, stat: str, **pedantic):
+        start = time.perf_counter()
+        result = benchmark.pedantic(func, **pedantic)
+        if benchmark.stats is None:
+            return result, time.perf_counter() - start
+        return result, getattr(benchmark.stats.stats, stat)
+
+    return runner
+
+
+@pytest.fixture
 def record_bench(request):
     """Register metrics for this module's ``BENCH_<name>.json`` record.
 

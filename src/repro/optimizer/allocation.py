@@ -10,6 +10,15 @@ proposes the ``2^D`` corners where each dimension is at its minimum or
 maximum, which we extend with geometric midpoints and a greedy
 "halve-the-biggest-footprint" ladder so that layers whose corners are all
 infeasible still allocate well.
+
+There is one halving-ladder loop (:func:`candidate_sub_tiles`) and one
+beam loop (:func:`allocate_hierarchy`).  Each takes its scoring and
+fitting from a hook chosen by ``vectorize``: the scalar hook calls the
+reference kernels (:func:`f_reuse`, ``_footprint_gradient``,
+``AcceleratorConfig.tile_fits``) per tile, and the columnar hook answers
+the same questions with batched NumPy passes (bit-identical scores and
+masks).  NumPy is imported only inside the columnar hook, so the scalar
+path runs without it.
 """
 
 from __future__ import annotations
@@ -53,12 +62,10 @@ def _seed_candidates(
 ) -> tuple[dict[Dim, tuple[int, int]], set[tuple[int, ...]]]:
     """Per-dim (min, max) bounds plus the corner/midpoint candidate seed.
 
-    One implementation feeds both the scalar and the columnar
-    :func:`candidate_sub_tiles` paths, so the enumerated set — and its
-    insertion sequence, which fixes the downstream tie-break order —
-    cannot drift between them.  Only the halving ladder extends this seed,
-    and it is path-specific solely in *how* the footprint gradients are
-    computed.
+    Its insertion sequence, extended only by the halving ladder of
+    :func:`candidate_sub_tiles`, fixes the set's iteration order and so
+    the downstream tie-break order; both allocator hooks see the same
+    sequence because the ladder loop itself is shared.
     """
     dims = list(ALL_DIMS)
     bounds = {
@@ -102,7 +109,7 @@ def _tile_columns(tiles: list[TileShape]):
 
 def _f_reuse_scores(
     layer: ConvLayer,
-    parents,  #: one TileShape or a list matching ``children``
+    parents: list[TileShape],
     children: list[TileShape],
     inner_order: LoopOrder,
     arch: AcceleratorConfig,
@@ -116,17 +123,91 @@ def _f_reuse_scores(
 
     from repro.core.batch import boundary_fill_bytes_sum
 
-    child_cols = _tile_columns(children)
-    if isinstance(parents, TileShape):
-        parent_cols = _tile_columns([parents])
-        maccs = parents.maccs(layer)
-    else:
-        parent_cols = _tile_columns(list(parents))
-        maccs = np.array([p.maccs(layer) for p in parents], dtype=np.int64)
+    maccs = np.array([p.maccs(layer) for p in parents], dtype=np.int64)
     fill_bytes = boundary_fill_bytes_sum(
-        layer, arch.precision, parent_cols, child_cols, inner_order
+        layer, arch.precision, _tile_columns(parents), _tile_columns(children),
+        inner_order,
     )
     return maccs / np.maximum(fill_bytes, 1)
+
+
+def _footprint_gradient(
+    layer: ConvLayer, tile: TileShape, dim: Dim, arch: AcceleratorConfig
+) -> int:
+    """Bytes freed by halving ``dim`` — used to pick what to shrink."""
+    if tile.extent(dim) == 1:
+        return -1
+    halved = TileShape.from_mapping(
+        {d: (math.ceil(tile.extent(d) / 2) if d is dim else tile.extent(d))
+         for d in ALL_DIMS}
+    )
+    return tile.total_bytes(layer, arch.precision) - halved.total_bytes(
+        layer, arch.precision
+    )
+
+
+class _ScalarHooks:
+    """Per-tile scoring and fitting: the reference kernels."""
+
+    @staticmethod
+    def scores(layer, parents, children, inner_order, arch) -> list[float]:
+        return [
+            f_reuse(layer, parent, child, inner_order, arch)
+            for parent, child in zip(parents, children)
+        ]
+
+    @staticmethod
+    def heaviest(layer, arch, extents: list[int]) -> int:
+        tile = TileShape(*extents)
+        return max(
+            range(len(ALL_DIMS)),
+            key=lambda d: _footprint_gradient(layer, tile, ALL_DIMS[d], arch),
+        )
+
+    @staticmethod
+    def fits(layer, arch, level_index: int, tiles: list[TileShape]) -> list[bool]:
+        return [arch.tile_fits(level_index, layer, tile) for tile in tiles]
+
+
+class _ColumnarHooks:
+    """The same answers from batched NumPy passes over many tiles."""
+
+    scores = staticmethod(_f_reuse_scores)
+
+    @staticmethod
+    def heaviest(layer, arch, extents: list[int]) -> int:
+        """All five halving gradients from one columnar footprint pass."""
+        import numpy as np
+
+        from repro.core.batch import tile_bytes_columns
+
+        probes = np.empty((5, 6), dtype=np.int64)
+        probes[:, 0] = extents
+        for d in range(5):
+            probes[:, d + 1] = extents
+            probes[d, d + 1] = -(-extents[d] // 2)
+        bytes_by_type = tile_bytes_columns(layer, arch.precision, probes)
+        totals = sum(bytes_by_type[dt] for dt in bytes_by_type)
+        gradients = [
+            -1 if extents[d] == 1 else int(totals[0] - totals[d + 1])
+            for d in range(5)
+        ]
+        return int(np.argmax(gradients))  # first max, like max()
+
+    @staticmethod
+    def fits(layer, arch, level_index: int, tiles: list[TileShape]):
+        from repro.core.batch import tile_fits_mask
+
+        return tile_fits_mask(arch, level_index, layer, _tile_columns(tiles))
+
+
+def _hooks(vectorize: bool):
+    return _ColumnarHooks if vectorize else _ScalarHooks
+
+
+def _ranked(indices, scores) -> list[int]:
+    """``indices`` by descending score; ties keep their given order."""
+    return sorted(indices, key=scores.__getitem__, reverse=True)
 
 
 def candidate_sub_tiles(
@@ -146,112 +227,36 @@ def candidate_sub_tiles(
     PE/cluster to receive work (tile sizes and parallelism are co-designed,
     Section V-A's joint configuration vector).
 
-    ``vectorize=True`` runs the columnar variant (same candidates, same
-    order); since the result depends only on ``(level_index, parent,
+    ``vectorize=True`` computes the ladder's footprint gradients and the
+    final capacity filter in columnar passes (same candidates, same
+    order).  Since the result depends only on ``(level_index, parent,
     cap)``, an optional ``memo`` dict shares it across the inner-order
     loop of a search.
     """
-    if vectorize:
-        key = (level_index, parent, cap)
-        if memo is not None and key in memo:
-            return memo[key]
-        result = _candidate_sub_tiles_columnar(
-            layer, arch, level_index, parent, cap
-        )
-        if memo is not None:
-            memo[key] = result
-        return result
-    dims = list(ALL_DIMS)
+    key = (level_index, parent, cap)
+    if memo is not None and key in memo:
+        return memo[key]
+    hooks = _hooks(vectorize)
     bounds, candidates = _seed_candidates(parent, cap)
 
     # Halving ladder: from the largest allowed shape, repeatedly halve the
     # dimension contributing most footprint until the tile fits.
-    current = {dim: bounds[dim][1] for dim in dims}
+    current = [bounds[dim][1] for dim in ALL_DIMS]
     for _ in range(40):
-        tile = TileShape.from_mapping(current)
-        candidates.add(tuple(current[d] for d in dims))
-        if arch.tile_fits(level_index, layer, tile):
-            break
-        heaviest = max(
-            dims,
-            key=lambda d: _footprint_gradient(layer, tile, d, arch),
-        )
-        if current[heaviest] == 1:
-            break
-        current[heaviest] = math.ceil(current[heaviest] / 2)
-
-    feasible = []
-    for extents in candidates:
-        tile = TileShape.from_mapping(dict(zip(dims, extents)))
-        if arch.tile_fits(level_index, layer, tile):
-            feasible.append(tile)
-    return feasible
-
-
-def _candidate_sub_tiles_columnar(
-    layer: ConvLayer,
-    arch: AcceleratorConfig,
-    level_index: int,
-    parent: TileShape,
-    cap: TileShape | None,
-) -> list[TileShape]:
-    """Columnar twin of :func:`candidate_sub_tiles`.
-
-    Shares the corner/midpoint seed (and therefore the set insertion
-    sequence that fixes the downstream tie-break order) through
-    :func:`_seed_candidates`, then batches the footprint-gradient and
-    capacity checks instead of probing tile by tile.
-    """
-    import numpy as np
-
-    from repro.core.batch import tile_bytes_columns, tile_fits_mask
-
-    dims = list(ALL_DIMS)
-    bounds, candidates = _seed_candidates(parent, cap)
-
-    # Halving ladder, with all five per-dim footprint gradients of one
-    # step computed in a single columnar footprint evaluation.
-    current = [bounds[dim][1] for dim in dims]
-    precision = arch.precision
-    for _ in range(40):
-        tile = TileShape(*current)
         candidates.add(tuple(current))
-        if arch.tile_fits(level_index, layer, tile):
+        if arch.tile_fits(level_index, layer, TileShape(*current)):
             break
-        probes = np.empty((5, 6), dtype=np.int64)
-        probes[:, 0] = current
-        for d in range(5):
-            probes[:, d + 1] = current
-            probes[d, d + 1] = -(-current[d] // 2)
-        bytes_by_type = tile_bytes_columns(layer, precision, probes)
-        totals = sum(bytes_by_type[dt] for dt in bytes_by_type)
-        gradients = [
-            -1 if current[d] == 1 else int(totals[0] - totals[d + 1])
-            for d in range(5)
-        ]
-        heaviest = int(np.argmax(gradients))  # first max, like max(dims, ...)
+        heaviest = hooks.heaviest(layer, arch, current)
         if current[heaviest] == 1:
             break
         current[heaviest] = math.ceil(current[heaviest] / 2)
 
     tiles = [TileShape(*extents) for extents in candidates]
-    fits = tile_fits_mask(arch, level_index, layer, _tile_columns(tiles))
-    return [tile for tile, ok in zip(tiles, fits) if ok]
-
-
-def _footprint_gradient(
-    layer: ConvLayer, tile: TileShape, dim: Dim, arch: AcceleratorConfig
-) -> int:
-    """Bytes freed by halving ``dim`` — used to pick what to shrink."""
-    if tile.extent(dim) == 1:
-        return -1
-    halved = TileShape.from_mapping(
-        {d: (math.ceil(tile.extent(d) / 2) if d is dim else tile.extent(d))
-         for d in ALL_DIMS}
-    )
-    return tile.total_bytes(layer, arch.precision) - halved.total_bytes(
-        layer, arch.precision
-    )
+    fits = hooks.fits(layer, arch, level_index, tiles)
+    feasible = [tile for tile, ok in zip(tiles, fits) if ok]
+    if memo is not None:
+        memo[key] = feasible
+    return feasible
 
 
 def allocate_level(
@@ -281,19 +286,10 @@ def allocate_level(
             f"no feasible sub-tile at level {level_index} of {arch.name} "
             f"for {layer.name} (parent {parent.describe()})"
         )
-    if vectorize:
-        scores = _f_reuse_scores(layer, parent, feasible, inner_order, arch)
-        ranked = sorted(
-            range(len(feasible)), key=scores.__getitem__, reverse=True
-        )
-        scored = [feasible[i] for i in ranked]
-    else:
-        scored = sorted(
-            feasible,
-            key=lambda tile: f_reuse(layer, parent, tile, inner_order, arch),
-            reverse=True,
-        )
-    return scored[:keep]
+    scores = _hooks(vectorize).scores(
+        layer, [parent] * len(feasible), feasible, inner_order, arch
+    )
+    return [feasible[i] for i in _ranked(range(len(feasible)), scores)[:keep]]
 
 
 def parallel_caps(
@@ -331,106 +327,46 @@ def allocate_hierarchy(
     level ``i`` are distributed (clusters at the middle level, PEs at the
     innermost), which caps tile extents so every worker gets a sub-tile.
 
-    ``vectorize=True`` runs the columnar twin: identical beams (the
-    equivalence argument is spelled out in
-    :func:`_allocate_hierarchy_columnar`), one batched ``f_reuse``
-    evaluation per level instead of one per candidate.
+    Per level, every beam's candidate sub-tiles are scored in one call —
+    ``f_reuse`` per pair, or one batched evaluation with
+    ``vectorize=True`` (bit-identical scores).  Each beam keeps its top
+    ``keep_per_level`` children (:func:`allocate_level`), then the
+    survivors are ranked globally by the same score with a stable sort.
+    Candidates never exceed their parent (the generator bounds them by
+    it), so a child's own score is also its beam's last-boundary score.
+    ``candidate_memo`` is passed to :func:`candidate_sub_tiles`.
     """
-    if vectorize:
-        return _allocate_hierarchy_columnar(
-            layer, arch, last_level_tile, inner_order,
-            keep_per_level=keep_per_level, level_degrees=level_degrees,
-            candidate_memo=candidate_memo,
-        )
     beams: list[tuple[TileShape, ...]] = [(last_level_tile,)]
     for level_index in range(1, arch.num_levels):
         degrees = None
         if level_degrees is not None:
             degrees = level_degrees[level_index]
-        new_beams: list[tuple[TileShape, ...]] = []
+        owners: list[tuple[TileShape, ...]] = []
+        parents: list[TileShape] = []
+        children: list[TileShape] = []
+        spans: list[range] = []
         for beam in beams:
             parent = beam[-1]
             cap = parallel_caps(parent, degrees) if degrees else None
-            try:
-                tiles = allocate_level(
-                    layer, arch, level_index, parent, inner_order,
-                    keep=keep_per_level, cap=cap,
-                )
-            except ValueError:
-                continue
-            for tile in tiles:
-                new_beams.append(beam + (tile.clipped(parent),))
-        if not new_beams:
+            tiles = candidate_sub_tiles(
+                layer, arch, level_index, parent, cap=cap,
+                vectorize=vectorize, memo=candidate_memo,
+            )
+            spans.append(range(len(children), len(children) + len(tiles)))
+            owners += [beam] * len(tiles)
+            parents += [parent] * len(tiles)
+            children += tiles
+        if not children:
             raise ValueError(
                 f"no feasible allocation below {last_level_tile.describe()} "
                 f"for {layer.name} on {arch.name}"
             )
-        # Keep the globally best few beams by last-boundary f_reuse.
-        new_beams.sort(
-            key=lambda b: f_reuse(layer, b[-2], b[-1], inner_order, arch),
-            reverse=True,
+        scores = _hooks(vectorize).scores(
+            layer, parents, children, inner_order, arch
         )
-        beams = new_beams[: max(keep_per_level, 2)]
-    return beams
-
-
-def _allocate_hierarchy_columnar(
-    layer: ConvLayer,
-    arch: AcceleratorConfig,
-    last_level_tile: TileShape,
-    inner_order: LoopOrder,
-    *,
-    keep_per_level: int,
-    level_degrees: tuple[dict[Dim, int], ...] | None,
-    candidate_memo: dict | None,
-) -> list[tuple[TileShape, ...]]:
-    """Columnar twin of :func:`allocate_hierarchy` — identical beams.
-
-    Per level, every beam's candidate sub-tiles are scored through ONE
-    batched ``f_reuse`` evaluation; candidates never exceed their parent
-    (the generator bounds them by it), so ``tile.clipped(parent) == tile``
-    and the per-candidate scores double as the beam-ranking scores the
-    scalar path recomputes.  Ranking uses the same stable descending
-    sorts, so beam contents and order match the scalar path exactly.
-    """
-    beams: list[tuple[TileShape, ...]] = [(last_level_tile,)]
-    for level_index in range(1, arch.num_levels):
-        degrees = None
-        if level_degrees is not None:
-            degrees = level_degrees[level_index]
-        entries_beam: list[int] = []
-        entries_parent: list[TileShape] = []
-        entries_tile: list[TileShape] = []
-        for beam_idx, beam in enumerate(beams):
-            parent = beam[-1]
-            cap = parallel_caps(parent, degrees) if degrees else None
-            candidates = candidate_sub_tiles(
-                layer, arch, level_index, parent, cap=cap, vectorize=True,
-                memo=candidate_memo,
-            )
-            for tile in candidates:
-                entries_beam.append(beam_idx)
-                entries_parent.append(parent)
-                entries_tile.append(tile)
-        if not entries_tile:
-            raise ValueError(
-                f"no feasible allocation below {last_level_tile.describe()} "
-                f"for {layer.name} on {arch.name}"
-            )
-        scores = _f_reuse_scores(
-            layer, entries_parent, entries_tile, inner_order, arch
-        )
-
-        # Top-keep per beam (allocate_level), in beam order, then the
-        # global stable sort by score (the scalar beam ranking).
-        chosen: list[int] = []
-        for beam_idx in range(len(beams)):
-            members = [j for j, b in enumerate(entries_beam) if b == beam_idx]
-            members.sort(key=scores.__getitem__, reverse=True)
-            chosen.extend(members[:keep_per_level])
-        chosen.sort(key=scores.__getitem__, reverse=True)
+        chosen = [j for span in spans for j in _ranked(span, scores)[:keep_per_level]]
         beams = [
-            beams[entries_beam[j]] + (entries_tile[j].clipped(entries_parent[j]),)
-            for j in chosen[: max(keep_per_level, 2)]
+            owners[j] + (children[j].clipped(parents[j]),)
+            for j in _ranked(chosen, scores)[: max(keep_per_level, 2)]
         ]
     return beams

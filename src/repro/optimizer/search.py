@@ -6,6 +6,11 @@ with the analytic models and returns the best under the chosen objective
 ("it is straightforward to optimize for power or performance or
 performance/power", Section V-E).
 
+One block loop (:meth:`LayerOptimizer._search`) drives the search; the
+block evaluator plugged into it decides how candidates are scored — per
+candidate through the scalar reference models (the oracle, and the only
+path without NumPy), or per block through one columnar table.
+
 Inflexible machines reuse the same search with their dataflow pinned:
 Morph-base fixes loop orders, static partitions and parallelism but still
 sizes tiles per layer (its FSMs are fixed-function *per dataflow*, not per
@@ -15,6 +20,7 @@ shape); Eyeriss additionally has only two buffer levels.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Iterable
 
 from repro.arch.accelerator import AcceleratorConfig
@@ -459,49 +465,33 @@ class LayerOptimizer:
         arch: AcceleratorConfig,
         options: OptimizerOptions | None = None,
     ) -> None:
+        from repro.optimizer import engine
+
         self.arch = arch
         self.options = options or OptimizerOptions()
         self._score = OBJECTIVES[self.options.objective]
-        if self.options.vectorize is None:
-            from repro.optimizer.engine import default_vectorize
 
-            self.vectorize = default_vectorize()
-        else:
-            self.vectorize = self.options.vectorize
+        def resolve(field: str):
+            """The option's value, or its engine default when ``None``."""
+            value = getattr(self.options, field)
+            if value is None:
+                return getattr(engine, f"default_{field}")()
+            return value
+
+        self.vectorize = resolve("vectorize")
         if self.vectorize:
             from repro.core import batch
 
-            if not batch.available:
-                self.vectorize = False
-        if self.options.search_order is None:
-            from repro.optimizer.engine import default_search_order
-
-            self.search_order = default_search_order()
-        else:
-            self.search_order = self.options.search_order
+            self.vectorize = batch.available
+        self.search_order = resolve("search_order")
         if self.search_order not in ("best_first", "legacy"):
             raise ValueError(
                 f"unknown search_order {self.search_order!r}; "
                 "choose 'best_first' or 'legacy'"
             )
-        if self.options.budget_ms is None:
-            from repro.optimizer.engine import default_budget_ms
-
-            self.budget_ms = default_budget_ms()
-        else:
-            self.budget_ms = self.options.budget_ms
-        if self.options.kernel_backend is None:
-            from repro.optimizer.engine import default_kernel_backend
-
-            self.kernel_backend = default_kernel_backend()
-        else:
-            self.kernel_backend = self.options.kernel_backend
-        if self.options.max_table_bytes is None:
-            from repro.optimizer.engine import default_max_table_bytes
-
-            self.max_table_bytes = default_max_table_bytes()
-        else:
-            self.max_table_bytes = self.options.max_table_bytes
+        self.budget_ms = resolve("budget_ms")
+        self.kernel_backend = resolve("kernel_backend")
+        self.max_table_bytes = resolve("max_table_bytes")
 
     # ------------------------------------------------------------------
     def _outer_orders(self, layer: ConvLayer, l2_tile: TileShape) -> list[LoopOrder]:
@@ -558,17 +548,6 @@ class LayerOptimizer:
         )
         return chosen, displaced
 
-    def _level_degrees(
-        self, parallelism: Parallelism
-    ) -> tuple[dict[Dim, int], ...]:
-        """Per-level parallel splits capping sub-tile sizes."""
-        return parallel_level_degrees(
-            self.arch.num_levels,
-            self.arch.clusters,
-            self.arch.pes_per_cluster,
-            parallelism,
-        )
-
     def _bound_closures(
         self,
         layer: ConvLayer,
@@ -576,7 +555,7 @@ class LayerOptimizer:
         parallelisms: list[Parallelism] | tuple[Parallelism, ...],
         l2_tiles: list[TileShape],
     ):
-        """Memoised lower-bound closures shared by both search paths.
+        """Memoised lower-bound closures of one search.
 
         Returns ``(outers_for, bound_for, block_bound)``: the deduped
         outer orders of an L2 tile, the objective lower bound of one
@@ -590,52 +569,38 @@ class LayerOptimizer:
         """
         objective = self.options.objective
         use_floors = self.options.parallel_floors
-        outer_memo: dict[TileShape, list[LoopOrder]] = {}
-        dram_memo: dict[tuple[TileShape, LoopOrder], tuple[float, float]] = {}
-        util_memo: dict[tuple[int, int], float] = {}
-        repl_memo: dict[int, float] = {}
-        bounds: dict[tuple[int, int, LoopOrder], float] = {}
 
+        @functools.cache
         def outers_for(l2_tile: TileShape) -> list[LoopOrder]:
-            orders = outer_memo.get(l2_tile)
-            if orders is None:
-                orders = self._outer_orders(layer, l2_tile)
-                outer_memo[l2_tile] = orders
-            return orders
+            return self._outer_orders(layer, l2_tile)
 
-        def bound_for(p_idx: int, t_idx: int, outer: LoopOrder) -> float:
-            key = (p_idx, t_idx, outer)
-            bound = bounds.get(key)
-            if bound is not None:
-                return bound
-            l2_tile = l2_tiles[t_idx]
-            dram = dram_memo.get((l2_tile, outer))
-            if dram is None:
-                dram = boundary_dram_bytes(layer, self.arch, l2_tile, outer)
-                dram_memo[(l2_tile, outer)] = dram
-            utilization_ceiling = 1.0
-            replication_floor = 0.0
-            if use_floors:
-                ceiling = util_memo.get((p_idx, t_idx))
-                if ceiling is None:
-                    ceiling = parallelism_utilization_ceiling(
-                        self.arch, parallelisms[p_idx], l2_tile
-                    )
-                    util_memo[(p_idx, t_idx)] = ceiling
-                utilization_ceiling = ceiling
-                repl = repl_memo.get(p_idx)
-                if repl is None:
-                    repl = parallelism_replication_floor_pj(
-                        layer, self.arch, parallelisms[p_idx]
-                    )
-                    repl_memo[p_idx] = repl
-                replication_floor = repl
-            bound = bound_from_terms(
-                layer, self.arch, objective, floors, *dram,
-                utilization_ceiling, replication_floor,
+        @functools.cache
+        def dram_bytes(l2_tile: TileShape, outer: LoopOrder):
+            return boundary_dram_bytes(layer, self.arch, l2_tile, outer)
+
+        @functools.cache
+        def utilization_ceiling(p_idx: int, t_idx: int) -> float:
+            return parallelism_utilization_ceiling(
+                self.arch, parallelisms[p_idx], l2_tiles[t_idx]
             )
-            bounds[key] = bound
-            return bound
+
+        @functools.cache
+        def replication_floor(p_idx: int) -> float:
+            return parallelism_replication_floor_pj(
+                layer, self.arch, parallelisms[p_idx]
+            )
+
+        @functools.cache
+        def bound_for(p_idx: int, t_idx: int, outer: LoopOrder) -> float:
+            parallel_terms = (1.0, 0.0)
+            if use_floors:
+                parallel_terms = (
+                    utilization_ceiling(p_idx, t_idx), replication_floor(p_idx)
+                )
+            return bound_from_terms(
+                layer, self.arch, objective, floors,
+                *dram_bytes(l2_tiles[t_idx], outer), *parallel_terms,
+            )
 
         def block_bound(p_idx: int, t_idx: int) -> float:
             return min(
@@ -644,23 +609,6 @@ class LayerOptimizer:
             )
 
         return outers_for, bound_for, block_bound
-
-    @staticmethod
-    def _bound_gap(
-        best_score: float,
-        remaining: list[tuple[int, int, int]],
-        block_bound,
-    ) -> float:
-        """Optimality-gap certificate when the budget ran out: how far the
-        best-so-far score could sit above the true optimum, from the
-        unvisited blocks' lower bounds (0.0 when nothing was skipped or
-        every skipped block provably cannot win)."""
-        if not remaining:
-            return 0.0
-        lowest = min(
-            block_bound(p_idx, t_idx) for _, p_idx, t_idx in remaining
-        )
-        return max(0.0, best_score - lowest)
 
     # ------------------------------------------------------------------
     def optimize(self, layer: ConvLayer) -> LayerResult:
@@ -684,38 +632,62 @@ class LayerOptimizer:
         comparison.  ``options.search_order="legacy"`` restores the
         historical order (for A/B measurement; results are identical).
 
-        With vectorization on (the default), candidates are lowered into
-        columnar tables and scored by :mod:`repro.core.batch` — same
-        equations, same chosen configuration and score, a fraction of the
-        time.  ``evaluated``/``pruned`` counters can differ slightly
-        between the two paths because the batch path updates its incumbent
-        once per candidate block rather than per candidate.
+        One block loop (:meth:`_search`) runs the search with a pluggable
+        block evaluator.  With vectorization on (the default) it is the
+        columnar evaluator: each block's candidates are lowered into one
+        table and scored by :mod:`repro.core.batch` — same equations, same
+        chosen configuration and score, a fraction of the time.  Without
+        it (or without NumPy) the scalar evaluator runs :func:`evaluate`
+        per candidate: the reference oracle.  ``evaluated``/``pruned``
+        counters can differ slightly between the two because the columnar
+        evaluator offers its block winner to the incumbent once per block
+        rather than once per candidate.
         """
         if self.vectorize:
-            return self._optimize_batch(layer)
-        return self._optimize_scalar(layer)
+            return self._search(layer, _ColumnarBlocks)
+        return self._search(layer, _ScalarBlocks)
 
-    def _optimize_scalar(self, layer: ConvLayer) -> LayerResult:
-        """Pure-Python reference search (``vectorize=False``)."""
-        best: Evaluation | None = None
+    def _search(self, layer: ConvLayer, evaluator_type) -> LayerResult:
+        """The block loop, shared by every evaluator.
+
+        Per ``(parallelism, L2 tile)`` block it polls the budget, prunes
+        the whole branch when no outer order's bound can displace the
+        incumbent, and otherwise yields the block's rows lazily — [inner
+        order x allocation x outer order], each with its legacy rank —
+        skipping (and counting) rows whose bound cannot win at the moment
+        they are pulled.  The evaluator drains those rows and offers
+        scores back; offers displace the incumbent under the ``(score,
+        legacy rank)`` order.  When the winner is materialised its scalar
+        re-evaluation must reproduce the offered score bit for bit;
+        otherwise (e.g. the columnar int64 arithmetic left the scalar
+        path's exact-integer envelope on a pathological layer) the search
+        reruns on the scalar evaluator rather than return a silently
+        mis-ranked configuration.
+        """
+        floors = layer_cost_floors(layer, self.arch)
+        l2_tiles = last_level_tile_candidates(
+            layer,
+            self.arch,
+            max_candidates=self.options.max_l2_candidates,
+            vectorize=evaluator_type.vectorize,
+        )
+        inner_orders = self._inner_orders()
+        parallelisms, displaced = self._parallelisms(layer)
+        evaluator = evaluator_type(self, layer, parallelisms)
+        outers_for, bound_for, block_bound = self._bound_closures(
+            layer, floors, parallelisms, l2_tiles
+        )
+        #: (level, parent, cap) -> sub-tile candidates, shared across the
+        #: inner-order loop (candidate generation is order-independent).
+        candidate_memo: dict = {}
+
+        best = None  # the evaluator's handle on the incumbent
         best_score = float("inf")
         #: Legacy-enumeration rank (block index, row index) of the
         #: incumbent: equal-score ties resolve to the candidate the legacy
         #: order would have met first, independent of visit order.
         best_rank = (float("inf"), float("inf"))
-        evaluated = 0
         pruned = 0
-        floors = layer_cost_floors(layer, self.arch)
-
-        l2_tiles = last_level_tile_candidates(
-            layer, self.arch, max_candidates=self.options.max_l2_candidates
-        )
-        inner_orders = self._inner_orders()
-        parallelisms, displaced = self._parallelisms(layer)
-
-        outers_for, bound_for, block_bound = self._bound_closures(
-            layer, floors, parallelisms, l2_tiles
-        )
 
         def can_beat(value: float, block_idx: int, row_idx) -> bool:
             """Could a candidate with lower bound (or score) ``value`` at
@@ -724,6 +696,40 @@ class LayerOptimizer:
             if value < best_score:
                 return True
             return value == best_score and (block_idx, row_idx) < best_rank
+
+        def rows(block_idx, p_idx, t_idx, outer_orders):
+            """The block's unpruned rows ``(rank, inner, tiles, outer)``;
+            each row's prune sees the incumbent as of its pull."""
+            nonlocal pruned
+            arch = self.arch
+            level_degrees = parallel_level_degrees(
+                arch.num_levels, arch.clusters, arch.pes_per_cluster,
+                parallelisms[p_idx],
+            )
+            row = -1
+            for inner in inner_orders:
+                try:
+                    beams = allocate_hierarchy(
+                        layer,
+                        self.arch,
+                        l2_tiles[t_idx],
+                        inner,
+                        keep_per_level=self.options.keep_per_level,
+                        level_degrees=level_degrees,
+                        vectorize=evaluator.vectorize,
+                        candidate_memo=candidate_memo,
+                    )
+                except ValueError:
+                    continue
+                for tiles in beams[: self.options.keep_allocations]:
+                    for outer in outer_orders:
+                        row += 1
+                        if not can_beat(
+                            bound_for(p_idx, t_idx, outer), block_idx, row
+                        ):
+                            pruned += 1
+                            continue
+                        yield row, inner, tiles, outer
 
         best_first = self.search_order == "best_first"
         blocks = candidate_blocks(
@@ -750,9 +756,7 @@ class LayerOptimizer:
                 budget_exhausted = True
                 remaining = blocks[pos:]
                 break
-            par = parallelisms[p_idx]
-            l2_tile = l2_tiles[t_idx]
-            outer_orders = outers_for(l2_tile)
+            outer_orders = outers_for(l2_tiles[t_idx])
             # Branch-level prune: if no outer order of this block can
             # displace the incumbent, skip the whole sub-tile allocation.
             if not any(
@@ -761,53 +765,33 @@ class LayerOptimizer:
             ):
                 pruned += len(outer_orders)
                 continue
-            level_degrees = self._level_degrees(par)
-            row = -1  # legacy row rank within this block
-            for inner in inner_orders:
-                try:
-                    beams = allocate_hierarchy(
-                        layer,
-                        self.arch,
-                        l2_tile,
-                        inner,
-                        keep_per_level=self.options.keep_per_level,
-                        level_degrees=level_degrees,
-                    )
-                except ValueError:
-                    continue
-                for tiles in beams[: self.options.keep_allocations]:
-                    hierarchy = TileHierarchy(layer, tiles)
-                    for outer in outer_orders:
-                        row += 1
-                        # Per-candidate prune against the (possibly
-                        # improved) incumbent.
-                        if not can_beat(
-                            bound_for(p_idx, t_idx, outer), block_idx, row
-                        ):
-                            pruned += 1
-                            continue
-                        dataflow = Dataflow(outer, inner, hierarchy, par)
-                        try:
-                            ev = evaluate(dataflow, self.arch)
-                        except CapacityError:
-                            continue
-                        evaluated += 1
-                        score = self._score(ev)
-                        if can_beat(score, block_idx, row):
-                            best, best_score = ev, score
-                            best_rank = (block_idx, row)
+            block_rows = rows(block_idx, p_idx, t_idx, outer_orders)
+            for score, row, handle in evaluator.offers(p_idx, block_rows):
+                if can_beat(score, block_idx, row):
+                    best, best_score = handle, score
+                    best_rank = (block_idx, row)
 
         if best is None:
             raise CapacityError(
                 f"no feasible configuration for {layer.name} on {self.arch.name}"
             )
+        best = evaluator.materialize(best)
+        if self._score(best) != best_score:
+            return self._search(layer, _ScalarBlocks)
         bound_gap: float | None = None
         if budget_ms is not None:
-            bound_gap = self._bound_gap(best_score, remaining, block_bound)
+            # Optimality-gap certificate: how far the best-so-far score
+            # could sit above the true optimum, from the unvisited blocks'
+            # lower bounds (0.0 when none could win, or none were skipped).
+            lowest = min(
+                (block_bound(p_idx, t_idx) for _, p_idx, t_idx in remaining),
+                default=best_score,
+            )
+            bound_gap = max(0.0, best_score - lowest)
         return LayerResult(
             layer=layer,
             best=best,
-            evaluated=evaluated,
+            evaluated=evaluator.evaluated,
             objective=self.options.objective,
             pruned=pruned,
             first_block_won=bool(blocks) and best_rank[0] == blocks[0][0],
@@ -816,204 +800,125 @@ class LayerOptimizer:
             parallelism_displaced=displaced,
         )
 
-    def _optimize_batch(self, layer: ConvLayer) -> LayerResult:
-        """Columnar search: enumerate candidate tables, score in bulk.
 
-        Enumeration follows the scalar path's nesting exactly — per
-        ``(parallelism, L2 tile)`` block the rows run [inner order x
-        allocation x outer order], blocks visited best-first by default —
-        and ties are broken by legacy enumeration rank exactly as in
-        :meth:`_optimize_scalar`, so the chosen configuration and score
-        match it bit for bit.  The PR 1 lower-bound prune survives as a
-        vectorized mask: branches whose bound cannot displace the
-        incumbent are skipped before allocation, rows before evaluation.
-        """
+class _ScalarBlocks:
+    """Block evaluator running the reference models per candidate.
+
+    Each pulled row is evaluated and offered before the next is pulled,
+    so the loop's per-row prune sees the live incumbent.  Handles are the
+    :class:`Evaluation` itself.
+    """
+
+    vectorize = False
+
+    def __init__(
+        self,
+        optimizer: LayerOptimizer,
+        layer: ConvLayer,
+        parallelisms: list[Parallelism],
+    ) -> None:
+        self.layer = layer
+        self.arch = optimizer.arch
+        self.score = optimizer._score
+        self.parallelisms = parallelisms
+        self.evaluated = 0
+
+    def offers(self, p_idx: int, rows):
+        par = self.parallelisms[p_idx]
+        for row, inner, tiles, outer in rows:
+            hierarchy = TileHierarchy(self.layer, tiles)
+            try:
+                ev = evaluate(Dataflow(outer, inner, hierarchy, par), self.arch)
+            except CapacityError:
+                continue
+            self.evaluated += 1
+            yield self.score(ev), row, ev
+
+    @staticmethod
+    def materialize(handle: Evaluation) -> Evaluation:
+        return handle
+
+
+class _ColumnarBlocks:
+    """Block evaluator scoring a whole block as one candidate table.
+
+    It drains the block's rows before scoring, so the loop's per-row
+    prune sees the block-start incumbent, then offers the block's
+    first-minimum row (:meth:`repro.core.batch.CandidateBatch.best`).
+    Rows are drained in legacy-rank order, so among equal scores the
+    first minimum is also the lowest rank.  Handles are ``(batch, row)``
+    pairs, materialised through the scalar models.
+    """
+
+    vectorize = True
+
+    def __init__(
+        self,
+        optimizer: LayerOptimizer,
+        layer: ConvLayer,
+        parallelisms: list[Parallelism],
+    ) -> None:
+        self.layer = layer
+        self.arch = optimizer.arch
+        self.objective = optimizer.options.objective
+        self.kernel_backend = optimizer.kernel_backend
+        self.max_table_bytes = optimizer.max_table_bytes
+        self.parallelisms = tuple(parallelisms)
+        #: Stable order registry shared by outer and inner columns.
+        self.order_index: dict[LoopOrder, int] = {}
+        self.evaluated = 0
+
+    def _index_of(self, order: LoopOrder) -> int:
+        return self.order_index.setdefault(order, len(self.order_index))
+
+    def offers(self, p_idx: int, rows):
         import numpy as np
 
         from repro.core.batch import CandidateBatch
 
-        objective = self.options.objective
-        best_batch: CandidateBatch | None = None
-        best_row = -1
-        best_score = float("inf")
-        #: Legacy-enumeration rank (block index, row index) of the
-        #: incumbent — the same tie-break key as the scalar path.
-        best_rank = (float("inf"), float("inf"))
-        evaluated = 0
-        pruned = 0
-        #: (level, parent, cap) -> sub-tile candidates, shared across the
-        #: inner-order loop (candidate generation is order-independent).
-        candidate_memo: dict = {}
-        floors = layer_cost_floors(layer, self.arch)
-
-        l2_tiles = last_level_tile_candidates(
-            layer,
+        ranks: list[int] = []
+        tiles_rows: list[list[tuple[int, ...]]] = []
+        inner_col: list[int] = []
+        outer_col: list[int] = []
+        for row, inner, tiles, outer in rows:
+            ranks.append(row)
+            tiles_rows.append([(t.w, t.h, t.c, t.k, t.f) for t in tiles])
+            inner_col.append(self._index_of(inner))
+            outer_col.append(self._index_of(outer))
+        if not ranks:
+            return
+        n = len(ranks)
+        batch = CandidateBatch(
+            self.layer,
             self.arch,
-            max_candidates=self.options.max_l2_candidates,
-            vectorize=True,
+            tuple(self.order_index),
+            self.parallelisms,
+            # (rows, levels, dims) -> (levels, dims, rows)
+            np.ascontiguousarray(
+                np.array(tiles_rows, dtype=np.int64).transpose(1, 2, 0)
+            ),
+            np.array(outer_col, dtype=np.int64),
+            np.array(inner_col, dtype=np.int64),
+            np.full(n, p_idx, dtype=np.int64),
         )
-        inner_orders = self._inner_orders()
-        parallelism_list, displaced = self._parallelisms(layer)
-        parallelisms = tuple(parallelism_list)
-
-        #: Stable order registry shared by outer and inner columns.
-        order_index: dict[LoopOrder, int] = {}
-
-        def index_of(order: LoopOrder) -> int:
-            return order_index.setdefault(order, len(order_index))
-
-        outers_for, bound_for, block_bound = self._bound_closures(
-            layer, floors, parallelisms, l2_tiles
+        # First minimum wins, also across chunk boundaries when
+        # ``max_table_bytes`` caps the score table, so chunked and
+        # unchunked runs are bit-identical.
+        winner, score, finite = batch.best(
+            self.objective,
+            kernel_backend=self.kernel_backend,
+            max_table_bytes=self.max_table_bytes,
         )
+        self.evaluated += finite
+        # An all-infeasible block (score inf) is never offered: it could
+        # tie the initial incumbent through the rank rule.
+        if np.isfinite(score):
+            yield score, ranks[winner], (batch, winner)
 
-        def can_beat(value: float, block_idx: int, row_idx) -> bool:
-            if value < best_score:
-                return True
-            return value == best_score and (block_idx, row_idx) < best_rank
-
-        best_first = self.search_order == "best_first"
-        blocks = candidate_blocks(
-            parallelisms, l2_tiles, best_first=best_first,
-            block_bound=block_bound if best_first else None,
-        )
-
-        budget_ms = self.budget_ms
-        clock = current_clock() if budget_ms is not None else None
-        start = clock() if clock is not None else 0.0
-        budget_exhausted = False
-        remaining: list[tuple[int, int, int]] = []
-
-        num_levels = self.arch.num_levels
-        for pos, (block_idx, p_idx, t_idx) in enumerate(blocks):
-            # Budget poll at block boundaries — same contract as the
-            # scalar path: a budgeted result is an exact prefix of the
-            # unbudgeted search, never returned before a feasible block
-            # has completed.
-            if (
-                clock is not None
-                and best_batch is not None
-                and clock() - start >= budget_ms
-            ):
-                budget_exhausted = True
-                remaining = blocks[pos:]
-                break
-            par = parallelisms[p_idx]
-            l2_tile = l2_tiles[t_idx]
-            outer_orders = outers_for(l2_tile)
-            # Branch-level prune, as in the scalar path.
-            if not any(
-                can_beat(bound_for(p_idx, t_idx, o), block_idx, -1)
-                for o in outer_orders
-            ):
-                pruned += len(outer_orders)
-                continue
-            level_degrees = self._level_degrees(par)
-
-            rows_tiles: list[tuple[TileShape, ...]] = []
-            rows_outer: list[int] = []
-            rows_inner: list[int] = []
-            rows_rank: list[int] = []
-            row = -1  # legacy row rank within this block
-            for inner in inner_orders:
-                try:
-                    beams = allocate_hierarchy(
-                        layer,
-                        self.arch,
-                        l2_tile,
-                        inner,
-                        keep_per_level=self.options.keep_per_level,
-                        level_degrees=level_degrees,
-                        vectorize=True,
-                        candidate_memo=candidate_memo,
-                    )
-                except ValueError:
-                    continue
-                inner_idx = index_of(inner)
-                for tiles in beams[: self.options.keep_allocations]:
-                    for outer in outer_orders:
-                        row += 1
-                        # Vectorized-mask analogue of the scalar
-                        # per-candidate prune (block-start incumbent).
-                        if not can_beat(
-                            bound_for(p_idx, t_idx, outer), block_idx, row
-                        ):
-                            pruned += 1
-                            continue
-                        rows_tiles.append(tiles)
-                        rows_outer.append(index_of(outer))
-                        rows_inner.append(inner_idx)
-                        rows_rank.append(row)
-            if not rows_tiles:
-                continue
-
-            n = len(rows_tiles)
-            tiles_cols = np.empty((num_levels, 5, n), dtype=np.int64)
-            for i, tiles in enumerate(rows_tiles):
-                for lvl in range(num_levels):
-                    tile = tiles[lvl]
-                    tiles_cols[lvl, 0, i] = tile.w
-                    tiles_cols[lvl, 1, i] = tile.h
-                    tiles_cols[lvl, 2, i] = tile.c
-                    tiles_cols[lvl, 3, i] = tile.k
-                    tiles_cols[lvl, 4, i] = tile.f
-            batch = CandidateBatch(
-                layer,
-                self.arch,
-                tuple(order_index),
-                parallelisms,
-                tiles_cols,
-                np.array(rows_outer, dtype=np.int64),
-                np.array(rows_inner, dtype=np.int64),
-                np.full(n, p_idx, dtype=np.int64),
-            )
-            # First minimum wins: among equal scores the lowest table
-            # position is kept (ranks increase with position, so that is
-            # the lowest legacy rank in this block); ``best`` preserves
-            # this across chunk boundaries when ``max_table_bytes`` caps
-            # the score table, so chunked and unchunked runs are
-            # bit-identical.
-            winner, winner_score, finite = batch.best(
-                objective,
-                kernel_backend=self.kernel_backend,
-                max_table_bytes=self.max_table_bytes,
-            )
-            evaluated += finite
-            # The finiteness guard keeps an all-infeasible block (score
-            # inf) from tying the initial incumbent via the rank rule.
-            if np.isfinite(winner_score) and can_beat(
-                winner_score, block_idx, rows_rank[winner]
-            ):
-                best_batch, best_row = batch, winner
-                best_score = winner_score
-                best_rank = (block_idx, rows_rank[winner])
-
-        if best_batch is None:
-            raise CapacityError(
-                f"no feasible configuration for {layer.name} on {self.arch.name}"
-            )
-        best = best_batch.evaluate_row(best_row)
-        if self._score(best) != best_score:
-            # Self-check at materialisation: the scalar re-evaluation of
-            # the winner must reproduce the batch score bit for bit.  A
-            # mismatch means the columnar int64 arithmetic left the scalar
-            # path's exact-integer envelope (e.g. overflow on a pathological
-            # layer) — fall back to the reference search rather than
-            # return a silently mis-ranked configuration.
-            return self._optimize_scalar(layer)
-        bound_gap: float | None = None
-        if budget_ms is not None:
-            bound_gap = self._bound_gap(best_score, remaining, block_bound)
-        return LayerResult(
-            layer=layer,
-            best=best,
-            evaluated=evaluated,
-            objective=objective,
-            pruned=pruned,
-            first_block_won=bool(blocks) and best_rank[0] == blocks[0][0],
-            bound_gap=bound_gap,
-            budget_exhausted=budget_exhausted,
-            parallelism_displaced=displaced,
-        )
+    @staticmethod
+    def materialize(handle) -> Evaluation:
+        batch, row = handle
+        return batch.evaluate_row(row)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,13 @@ configurations, bit-identical scores.  These tests pin that contract:
 * a property test over random layers (shapes, strides, dilations),
   random tile hierarchies, loop orders and parallelisms compares
   ``CandidateBatch.scores`` against per-candidate scalar evaluations;
+* a property test over random layers, parent tiles, caps and loop
+  orders compares the allocator (``candidate_sub_tiles``,
+  ``allocate_level``, ``allocate_hierarchy``) under its scalar and
+  columnar hooks, with and without the candidate memo;
 * a property test over random layers and all four objectives compares
-  the full vectorized search against the scalar reference search;
+  the full vectorized search against the scalar reference search, and a
+  forced score mismatch must fall back to the scalar search;
 * a per-registered-network sweep (slow tier) asserts every layer of every
   workload chooses the identical configuration either way.
 """
@@ -25,10 +30,19 @@ from hypothesis import strategies as st
 from repro.arch.accelerator import eyeriss_like, morph, morph_base
 from repro.core.batch import CandidateBatch
 from repro.core.dataflow import Dataflow, Parallelism
+from repro.core.dims import Dim
 from repro.core.evaluate import CapacityError, evaluate
 from repro.core.layer import ConvLayer
 from repro.core.loopnest import LoopOrder, all_loop_orders
+from repro.core.performance_model import parallel_level_degrees
 from repro.core.tiling import TileHierarchy, TileShape
+from repro.optimizer import search
+from repro.optimizer.allocation import (
+    allocate_hierarchy,
+    allocate_level,
+    candidate_sub_tiles,
+    parallel_caps,
+)
 from repro.optimizer.search import (
     OBJECTIVES,
     LayerOptimizer,
@@ -178,6 +192,92 @@ class TestBatchScoresMatchScalar:
         assert dataflow.parallelism == parallelisms[0]
 
 
+@st.composite
+def allocation_cases(draw):
+    """(layer, arch, parent tile, inner order, parallelism) for allocator
+    checks; the parent is a random tile of the layer, the parallelism one
+    of the search's typical arrangements (or none)."""
+    layer = draw(layers())
+    arch = ARCHES[draw(st.sampled_from(sorted(ARCHES)))]()
+    parent = _random_tile(draw, TileShape.full(layer))
+    inner = draw(st.sampled_from(list(all_loop_orders())))
+    parallelism = draw(st.sampled_from([
+        None,
+        Parallelism(k=arch.clusters, h=arch.pes_per_cluster),
+        Parallelism(w=min(4, arch.total_pes)),
+    ]))
+    return layer, arch, parent, inner, parallelism
+
+
+class TestAllocatorEquivalence:
+    """Scalar and columnar allocator hooks give identical lists, in order."""
+
+    @given(case=allocation_cases(), use_cap=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_candidate_sub_tiles_and_allocate_level(self, case, use_cap):
+        layer, arch, parent, inner, parallelism = case
+        degrees = {Dim.K: 2, Dim.H: 3} if parallelism is None else (
+            parallel_level_degrees(
+                arch.num_levels, arch.clusters, arch.pes_per_cluster, parallelism
+            )[-1]
+        )
+        cap = parallel_caps(parent, degrees) if use_cap else None
+        for level in range(1, arch.num_levels):
+            scalar = candidate_sub_tiles(
+                layer, arch, level, parent, cap=cap, vectorize=False
+            )
+            for vectorize in (True, False):
+                memo: dict = {}
+                for _ in range(2):  # cold, then recalled from the memo
+                    assert candidate_sub_tiles(
+                        layer, arch, level, parent, cap=cap,
+                        vectorize=vectorize, memo=memo,
+                    ) == scalar
+            assert candidate_sub_tiles(
+                layer, arch, level, parent, cap=cap, vectorize=True
+            ) == scalar
+            if not scalar:
+                for vectorize in (True, False):
+                    with pytest.raises(ValueError):
+                        allocate_level(
+                            layer, arch, level, parent, inner, cap=cap,
+                            vectorize=vectorize,
+                        )
+                continue
+            expected = allocate_level(
+                layer, arch, level, parent, inner, keep=3, cap=cap
+            )
+            assert allocate_level(
+                layer, arch, level, parent, inner, keep=3, cap=cap,
+                vectorize=True, memo={},
+            ) == expected
+
+    @given(case=allocation_cases(), keep=st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_allocate_hierarchy(self, case, keep):
+        layer, arch, parent, inner, parallelism = case
+        level_degrees = None if parallelism is None else parallel_level_degrees(
+            arch.num_levels, arch.clusters, arch.pes_per_cluster, parallelism
+        )
+
+        def allocate(vectorize, memo):
+            try:
+                return allocate_hierarchy(
+                    layer, arch, parent, inner, keep_per_level=keep,
+                    level_degrees=level_degrees, vectorize=vectorize,
+                    candidate_memo=memo,
+                )
+            except ValueError:
+                return None
+
+        expected = allocate(False, None)
+        for vectorize in (True, False):
+            memo: dict = {}
+            assert allocate(vectorize, None) == expected
+            assert allocate(vectorize, memo) == expected
+            assert allocate(vectorize, memo) == expected  # memo warm
+
+
 class TestSearchEquivalence:
     """Vectorized LayerOptimizer == scalar LayerOptimizer, end to end."""
 
@@ -220,6 +320,41 @@ class TestSearchEquivalence:
             ).optimize(layer)
             assert batch.best.dataflow == scalar.best.dataflow
             assert batch.score == scalar.score
+
+
+    def test_materialisation_mismatch_falls_back_to_scalar(self, monkeypatch):
+        """A columnar score that the scalar re-evaluation of its winner
+        does not reproduce must not be returned: the search reruns on the
+        scalar evaluator and returns exactly its result."""
+        layer = ConvLayer(
+            "fallback", h=14, w=14, c=32, f=4, k=48, r=3, s=3, t=3,
+            pad_h=1, pad_w=1, pad_f=1,
+        )
+        options = SMALL_OPTIONS
+        scalar = LayerOptimizer(
+            morph(), options.with_(vectorize=False)
+        ).optimize(layer)
+
+        best = CandidateBatch.best
+
+        def skewed_best(self, *args, **kwargs):
+            winner, score, finite = best(self, *args, **kwargs)
+            return winner, math.nextafter(score, -math.inf), finite
+
+        scalar_evaluations = 0
+
+        def counting_evaluate(*args, **kwargs):
+            nonlocal scalar_evaluations
+            scalar_evaluations += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(CandidateBatch, "best", skewed_best)
+        monkeypatch.setattr(search, "evaluate", counting_evaluate)
+        fallback = LayerOptimizer(
+            morph(), options.with_(vectorize=True)
+        ).optimize(layer)
+        assert scalar_evaluations > 0
+        assert fallback == scalar
 
 
 class TestEngineKnob:
