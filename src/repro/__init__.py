@@ -34,10 +34,8 @@ asyncio :class:`ServeEngine` (request coalescing, per-tenant quotas,
 backpressure, deadline-to-``budget_ms`` SLOs) — see :mod:`repro.serve`
 and ``examples/serve_quickstart.py``.
 
-Deprecated: :func:`set_engine_defaults` (process-wide mutable state);
-scope a :class:`Session` instead.  The module-level
-:func:`optimize_network` / :func:`optimize_layer` remain supported shims
-that route through the currently scoped session.
+The module-level :func:`optimize_network` / :func:`optimize_layer` are
+supported shims that route through the currently scoped session.
 
 See ``examples/`` for runnable walkthroughs and
 ``python -m repro.experiments.runner --all`` to regenerate every paper
@@ -80,7 +78,6 @@ from repro.optimizer.engine import (
     EngineStats,
     OptimizerEngine,
     optimize_layer,
-    set_engine_defaults,
 )
 from repro.optimizer.search import (
     LayerOptimizer,
@@ -165,6 +162,5 @@ __all__ = [
     "resnet3d50",
     "resnet50",
     "set_build_defaults",
-    "set_engine_defaults",
     "two_stream",
 ]

@@ -1,22 +1,20 @@
 """repro.api: the scoped, serializable front door to the optimizer stack.
 
-Four PRs of engine capability — dedup/parallel fan-out, pluggable config
-stores, columnar evaluation, best-first search, frame-flexible builds —
-were reachable only through per-call kwargs, the process-wide
-:func:`~repro.optimizer.engine.set_engine_defaults` mutator and
-``$REPRO_*`` environment variables.  That implicit global state cannot
+Engine capability — dedup/parallel fan-out, pluggable config stores,
+columnar evaluation, best-first search, frame-flexible builds — is
+configured here rather than through process-wide state, which cannot
 express the paper's own workflow at scale: Section V's per-CNN analysis
 "saved and recalled" across many differently configured sweeps (frame
 counts per Frame Flexible Network-style scenarios, backends per cluster)
 running side by side in one process.
 
-This module replaces the globals with two values:
+This module provides two values:
 
 * :class:`SessionConfig` — the *entire* engine/build configuration as one
   immutable, serializable value: parallelism and executor mode, cache
   directory/backend (or a live :class:`~repro.optimizer.config_store.ConfigStore`),
-  vectorize, search-order, kernel-backend and table-memory-cap speed
-  knobs, frame-flexible build defaults,
+  vectorize, anytime-budget and table-memory-cap speed knobs,
+  frame-flexible build defaults,
   the sharded store's manifest-compaction threshold, and telemetry sinks.
   Build it directly, from the environment (:meth:`SessionConfig.from_env`),
   from a dict (:meth:`SessionConfig.from_dict`), or from a TOML/JSON file
@@ -35,8 +33,7 @@ This module replaces the globals with two values:
   ``build_network`` frames — resolves through the session instead of the
   process globals, nested blocks restore the outer session on exit, and
   two sessions entered in two threads never observe each other.  Results
-  are bit-identical to the legacy global-default paths for the same knob
-  values.
+  are bit-identical to the unscoped paths for the same knob values.
 
 Quick start::
 
@@ -56,11 +53,10 @@ the session's persistent store (``CACHE_STATS.json``), so sweeps spread
 over many processes sharing one store report merged totals — the
 cross-process completion of PR 4's per-process counters.
 
-Deprecation path
-----------------
-:func:`~repro.optimizer.engine.set_engine_defaults` now emits a
-:class:`DeprecationWarning`; ``$REPRO_*``-only workflows keep working (a
-default session reads them) but new code should materialise them once via
+Legacy entry points
+-------------------
+``$REPRO_*``-only workflows keep working (a default session reads them),
+but new code should materialise them once via
 :meth:`SessionConfig.from_env` and scope explicitly.  The module-level
 ``optimize_network`` / ``optimize_layer`` remain supported shims that
 route through the currently scoped session.
@@ -104,18 +100,6 @@ __all__ = [
 ]
 
 
-def _parse_bool(text: str) -> bool:
-    # Strict: unknown tokens raise (callers wrap the error with the
-    # variable name) instead of silently meaning True — ``"flase"`` is a
-    # typo, not an opt-in.
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _clamped_positive_int(text: str) -> int:
     # Clamp like the legacy env parsing (default_parallelism,
     # build_network's REPRO_FRAMES): 0 means "minimum", not an error.
@@ -129,11 +113,9 @@ _ENV_FIELDS: dict[str, tuple[str, Any]] = {
     "REPRO_PARALLELISM_MODE": ("parallelism_mode", str.lower),
     "REPRO_CACHE_DIR": ("cache_dir", Path),
     "REPRO_CACHE_BACKEND": ("cache_backend", str.lower),
-    "REPRO_USE_CACHE": ("use_cache", _parse_bool),
-    "REPRO_VECTORIZE": ("vectorize", _parse_bool),
-    "REPRO_SEARCH_ORDER": ("search_order", str.lower),
+    "REPRO_USE_CACHE": ("use_cache", _scope.parse_bool),
+    "REPRO_VECTORIZE": ("vectorize", _scope.parse_bool),
     "REPRO_BUDGET_MS": ("budget_ms", float),
-    "REPRO_KERNEL_BACKEND": ("kernel_backend", str.lower),
     "REPRO_MAX_TABLE_BYTES": ("max_table_bytes", int),
     "REPRO_FRAMES": ("frames", _clamped_positive_int),
     "REPRO_BENCH_DIR": ("bench_dir", Path),
@@ -154,9 +136,9 @@ class SessionConfig:
     """The full engine/build configuration as one immutable value.
 
     Every field defaults to ``None`` — "defer to the next layer down"
-    (process defaults, then ``$REPRO_*``, then built-ins), so an empty
-    config behaves exactly like the legacy global-default paths and a
-    partially filled one overrides only what it names.  Instances are
+    (``$REPRO_*``, then built-ins), so an empty config behaves exactly
+    like the unscoped paths and a partially filled one overrides only
+    what it names.  Instances are
     hashable, comparable and (unless ``cache_backend`` is a live
     :class:`~repro.optimizer.config_store.ConfigStore`) serializable via
     :meth:`to_dict` / :meth:`to_json` and re-loadable via
@@ -177,9 +159,6 @@ class SessionConfig:
     use_cache: bool | None = None
     #: Columnar batch evaluation (pure speed knob; results identical).
     vectorize: bool | None = None
-    #: Candidate-block visit order: ``"best_first"`` or ``"legacy"``
-    #: (pure speed knob; results identical).
-    search_order: str | None = None
     #: Anytime-search budget per layer search, in milliseconds (``None``
     #: = run to exhaustion).  Budgeted results are bit-identical to the
     #: unbudgeted search whenever the budget is not hit; when it is, the
@@ -187,11 +166,6 @@ class SessionConfig:
     #: :attr:`~repro.optimizer.search.LayerResult.bound_gap` telemetry
     #: and is never cached.
     budget_ms: float | None = None
-    #: Kernel-execution backend for columnar passes — ``"numpy"`` or
-    #: ``"compiled"`` (JIT via :mod:`repro.core.backend`; silently
-    #: identical to ``"numpy"`` when no JIT is installed).  Pure speed
-    #: knob; scores, winners and simulator counters are bit-identical.
-    kernel_backend: str | None = None
     #: Memory cap (bytes) on any one columnar candidate/schedule table;
     #: when set, columnar passes stream row chunks with carried
     #: reductions (bit-identical to unchunked).  ``None`` = uncapped.
@@ -229,39 +203,18 @@ class SessionConfig:
         # the engine as a truthy value.
         for field in ("use_cache", "vectorize", "persist_statistics"):
             value = getattr(self, field)
-            if value is None or isinstance(value, bool):
-                continue
-            if isinstance(value, str):
-                lowered = value.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    object.__setattr__(self, field, True)
-                    continue
-                if lowered in ("0", "false", "no", "off"):
-                    object.__setattr__(self, field, False)
-                    continue
-            elif isinstance(value, int) and value in (0, 1):
-                object.__setattr__(self, field, bool(value))
-                continue
-            raise ValueError(f"{field} must be a boolean, got {value!r}")
+            if value is not None:
+                object.__setattr__(self, field, _scope.parse_bool(value, field))
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.parallelism_mode is not None:
             _engine._check_mode(self.parallelism_mode)
         if self.cache_backend is not None:
             _engine._check_backend(self.cache_backend)
-        if self.search_order not in (None, "best_first", "legacy"):
-            raise ValueError(
-                f"unknown search_order {self.search_order!r}; "
-                "choose 'best_first' or 'legacy'"
-            )
         if self.budget_ms is not None and self.budget_ms < 0:
             raise ValueError(
                 f"budget_ms must be >= 0 (milliseconds), got {self.budget_ms!r}"
             )
-        if self.kernel_backend is not None:
-            from repro.core.backend import check_backend_name
-
-            check_backend_name(self.kernel_backend)
         if self.max_table_bytes is not None and self.max_table_bytes < 1:
             raise ValueError(
                 "max_table_bytes must be a positive byte count, "
@@ -712,11 +665,10 @@ class Session:
         precision: Precision | None = None,
         *,
         vectorize: bool | None = None,
-        kernel_backend: str | None = None,
         max_table_bytes: int | None = None,
     ):
         """Trace-simulate a schedule (validates the access model) under
-        this session's vectorize / kernel-backend / table-cap defaults."""
+        this session's vectorize / table-cap defaults."""
         from repro.core.tiling import DEFAULT_PRECISION
         from repro.sim.trace import trace_dataflow
 
@@ -725,7 +677,6 @@ class Session:
                 dataflow,
                 DEFAULT_PRECISION if precision is None else precision,
                 vectorize=vectorize,
-                kernel_backend=kernel_backend,
                 max_table_bytes=max_table_bytes,
             )
 
@@ -735,11 +686,10 @@ class Session:
         arch: AcceleratorConfig,
         *,
         vectorize: bool | None = None,
-        kernel_backend: str | None = None,
         max_table_bytes: int | None = None,
     ):
         """Pipeline-simulate a schedule (validates the cycle model) under
-        this session's vectorize / kernel-backend / table-cap defaults."""
+        this session's vectorize / table-cap defaults."""
         from repro.sim.pipeline_sim import simulate_pipeline
 
         with self.activate():
@@ -747,7 +697,6 @@ class Session:
                 dataflow,
                 arch,
                 vectorize=vectorize,
-                kernel_backend=kernel_backend,
                 max_table_bytes=max_table_bytes,
             )
 
@@ -888,8 +837,7 @@ _DEFAULT_LOCK = threading.Lock()
 
 def default_session() -> Session:
     """The process-wide default session: an empty config, so resolution
-    falls through to the legacy process defaults and ``$REPRO_*``
-    variables — bit-identical to the pre-session behaviour."""
+    falls through to the ``$REPRO_*`` variables and built-in defaults."""
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:
         with _DEFAULT_LOCK:

@@ -28,16 +28,13 @@ dilations and objectives.  The optimizer uses the batch path by default;
 everywhere.  Dilated 3D convolution (D2Conv3D-style ``dilation_h/w/f`` on
 :class:`~repro.core.layer.ConvLayer`) is handled by both.
 
-How the columnar path *executes* the kernels is itself pluggable:
-:mod:`repro.core.backend` registers kernel-execution backends
-(``kernel_backend="numpy"`` runs them as plain Python over columns;
-``"compiled"`` JIT-compiles them with numba when installed and silently
-falls back otherwise — bit-identical either way, the backend contract in
-``docs/INVARIANTS.md``), and ``max_table_bytes=...`` caps the peak table
-memory of the columnar passes by streaming row chunks with carried
-reductions.  Both knobs thread through
+``max_table_bytes=...`` caps the peak table memory of the columnar
+passes (candidate scoring and both simulators) by streaming row chunks
+with carried reductions — bit-identical to the uncapped pass, the
+chunking contract in ``docs/INVARIANTS.md``.  The chunk planner lives in
+:mod:`repro.core.batch`; the knob threads through
 :class:`~repro.optimizer.search.OptimizerOptions`,
-:class:`repro.api.SessionConfig`, ``$REPRO_KERNEL_BACKEND`` /
-``$REPRO_MAX_TABLE_BYTES`` and the runner flags, and — being pure speed
-knobs — stay out of search signatures and cache keys.
+:class:`repro.api.SessionConfig`, ``$REPRO_MAX_TABLE_BYTES`` and the
+runner flag, and — being a pure speed knob — stays out of search
+signatures and cache keys.
 """

@@ -61,12 +61,6 @@ from repro.core.access_model import (
     dram_psum_writeback_kernel,
     psum_spill_bytes_kernel,
 )
-from repro.core.backend import (
-    KernelBackend,
-    plan_chunk_rows,
-    resolve_kernel_backend,
-    resolve_max_table_bytes,
-)
 from repro.core.dataflow import Dataflow, Parallelism
 from repro.core.dims import ALL_DATA_TYPES, ALL_DIMS, DataType, Dim, relevant_dims
 from repro.core.energy_model import (
@@ -106,6 +100,9 @@ _PAR_DIMS = (Dim.W, Dim.H, Dim.K, Dim.F)
 #: score pipeline holds live per candidate besides its tile slice.
 _WORKSPACE_COLUMNS = 16
 
+#: Chunk plans: ``(row_bytes, max_table_bytes)`` -> rows per chunk.
+_CHUNK_PLANS: dict[tuple[int, int], int] = {}
+
 
 def _require_numpy() -> None:
     if np is None:  # pragma: no cover
@@ -116,13 +113,63 @@ def _require_numpy() -> None:
 
 def clear_constant_caches() -> None:
     """Reset the constant-table memos (layer extents, order tables,
-    parallelism tables, relevance vectors), for callers that mutate layer
-    or machine descriptions in place; wired into :func:`repro.clear_cache`.
+    parallelism tables, relevance vectors) and the chunk plans, for
+    callers that mutate layer or machine descriptions in place; wired
+    into :func:`repro.clear_cache`.
     """
     full_extents.cache_clear()
     _order_tables.cache_clear()
     parallelism_tables.cache_clear()
     _rel_vector_cached.cache_clear()
+    _CHUNK_PLANS.clear()
+
+
+# ----------------------------------------------------------------------
+# Streaming under a table-memory cap
+# ----------------------------------------------------------------------
+def resolve_max_table_bytes(value: int | None = None) -> int | None:
+    """Resolve an explicit memory cap (or the scoped default).
+
+    ``None`` defers to
+    :func:`repro.optimizer.engine.default_max_table_bytes` (session,
+    then ``$REPRO_MAX_TABLE_BYTES``); it returns ``None`` when no cap is
+    configured anywhere, and columnar passes then materialize full
+    tables.  A cap makes schedule/candidate tables that outgrow it
+    stream in row blocks with carried reductions — bit-identical to the
+    uncapped pass.
+    """
+    if value is None:
+        from repro.optimizer.engine import default_max_table_bytes
+
+        return default_max_table_bytes()
+    value = int(value)
+    if value < 1:
+        raise ValueError(
+            f"max_table_bytes must be a positive byte count, got {value}"
+        )
+    return value
+
+
+def plan_chunk_rows(row_bytes: int, max_table_bytes: int) -> int:
+    """Rows per chunk so one chunk's table stays under the byte cap.
+
+    Raises ``ValueError`` when the cap cannot hold even a single row —
+    a cap that small is a configuration error, not a request for an
+    empty table.
+    """
+    key = (int(row_bytes), int(max_table_bytes))
+    if key not in _CHUNK_PLANS:
+        rows, cap = key
+        if rows <= 0:
+            raise ValueError(f"row_bytes must be positive, got {rows}")
+        per_chunk = cap // rows
+        if per_chunk < 1:
+            raise ValueError(
+                f"max_table_bytes={cap} is smaller than a single table "
+                f"row ({rows} bytes); raise the cap"
+            )
+        _CHUNK_PLANS[key] = per_chunk
+    return _CHUNK_PLANS[key]
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +355,6 @@ def _boundary_fill_columns(
     seq_trips,  #: (5, N) sequential rounds (trips / parallel degree)
     dim_at,  #: (N, 5) dim code at each loop position, outermost first
     pos_of,  #: (N, 5) loop position of each dim code
-    backend: KernelBackend | None = None,  #: kernel-execution backend
 ) -> dict[DataType, tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
     """Per data type: ``(has_relevant_loop, run_fetches, run_bytes)``.
 
@@ -318,12 +364,6 @@ def _boundary_fill_columns(
     suffix masks described in the module docstring.
     """
     n = parent.shape[-1]
-    if backend is None:
-        input_extent = input_extent_kernel
-        sum_input_extents = sum_input_extents_kernel
-    else:
-        input_extent = backend.kernel_impl(input_extent_kernel)
-        sum_input_extents = backend.kernel_impl(sum_input_extents_kernel)
     cand = np.arange(n)
     trips_at = trips[dim_at.T, cand]  # (5 positions, N)
     seq_at = seq_trips[dim_at.T, cand]
@@ -362,12 +402,12 @@ def _boundary_fill_columns(
                     run_bytes *= total
                     continue
                 span, stride = kernel_and_stride(layer, dim)
-                halo_sum = sum_input_extents(total, child[d], span, stride)
+                halo_sum = sum_input_extents_kernel(total, child[d], span, stride)
                 # Slide reuse: this dim occupies the innermost relevant
                 # non-degenerate loop, so halos telescope to the union.
                 is_slide = (trips[d] > 1) & ~suffix_strict[pos_of[:, d], cand]
                 run_bytes *= np.where(
-                    is_slide, input_extent(total, span, stride), halo_sum
+                    is_slide, input_extent_kernel(total, span, stride), halo_sum
                 )
             irrelevant = (Dim.K,)
         elif data_type is DataType.WEIGHTS:
@@ -502,43 +542,32 @@ class CandidateBatch:
         return 8 * (levels * 5 + _WORKSPACE_COLUMNS)
 
     def scores(
-        self,
-        objective: str,
-        *,
-        kernel_backend: str | None = None,
-        max_table_bytes: int | None = None,
+        self, objective: str, *, max_table_bytes: int | None = None
     ) -> "np.ndarray":
         """Objective column (lower is better); +inf marks infeasible rows.
 
         Bit-identical to scoring each row's scalar :class:`Evaluation`
-        under :data:`repro.optimizer.search.OBJECTIVES`, for every
-        backend and for any ``max_table_bytes`` chunking: every column
-        op in the pipeline is elementwise per candidate, so evaluating
-        a slice of columns is the same arithmetic on a smaller array.
-        ``None`` knobs defer to the scoped defaults
-        (:func:`repro.core.backend.resolve_kernel_backend` /
-        :func:`repro.core.backend.resolve_max_table_bytes`).
+        under :data:`repro.optimizer.search.OBJECTIVES`, for any
+        ``max_table_bytes`` chunking: every column op in the pipeline is
+        elementwise per candidate, so evaluating a slice of columns is
+        the same arithmetic on a smaller array.  ``None`` defers to the
+        scoped default (:func:`resolve_max_table_bytes`).
         """
         n = len(self)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        backend = resolve_kernel_backend(kernel_backend)
         cap = resolve_max_table_bytes(max_table_bytes)
         if cap is None:
-            return self._scores_slice(objective, slice(0, n), backend)
+            return self._scores_slice(objective, slice(0, n))
         rows = plan_chunk_rows(self._row_bytes(), cap)
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, rows):
             sl = slice(start, min(start + rows, n))
-            out[sl] = self._scores_slice(objective, sl, backend)
+            out[sl] = self._scores_slice(objective, sl)
         return out
 
     def best(
-        self,
-        objective: str,
-        *,
-        kernel_backend: str | None = None,
-        max_table_bytes: int | None = None,
+        self, objective: str, *, max_table_bytes: int | None = None
     ) -> tuple[int, float, int]:
         """First-min winner: ``(index, score, finite_count)``.
 
@@ -551,13 +580,12 @@ class CandidateBatch:
         n = len(self)
         if n == 0:
             return -1, float("inf"), 0
-        backend = resolve_kernel_backend(kernel_backend)
         cap = resolve_max_table_bytes(max_table_bytes)
         rows = n if cap is None else plan_chunk_rows(self._row_bytes(), cap)
         best_index, best_score, finite = -1, float("inf"), 0
         for start in range(0, n, rows):
             sl = slice(start, min(start + rows, n))
-            chunk = self._scores_slice(objective, sl, backend)
+            chunk = self._scores_slice(objective, sl)
             finite += int(np.isfinite(chunk).sum())
             local = int(np.argmin(chunk))
             score = float(chunk[local])
@@ -567,9 +595,7 @@ class CandidateBatch:
                 best_index, best_score = start + local, score
         return best_index, best_score, finite
 
-    def _scores_slice(
-        self, objective: str, sl: slice, backend: KernelBackend
-    ) -> "np.ndarray":
+    def _scores_slice(self, objective: str, sl: slice) -> "np.ndarray":
         """The score pipeline over one contiguous slice of columns."""
         tiles = self.tiles[:, :, sl]
         outer = self.outer[sl]
@@ -583,7 +609,6 @@ class CandidateBatch:
             raise ValueError(
                 f"{arch.name} has {levels} levels, got {tiles.shape[0]}"
             )
-        impl = backend.kernel_impl
         dim_tbl, pos_tbl = _order_tables(self.orders)
         par_tbl = parallelism_tables(self.parallelisms, arch)
         full = np.broadcast_to(full_extents(layer)[:, None], (5, n))
@@ -605,7 +630,7 @@ class CandidateBatch:
             seq_trips = ceil_div(trips, degrees)
             profile = _boundary_fill_columns(
                 layer, precision, parent, child, trips, seq_trips,
-                dim_tbl[order_idx], pos_tbl[order_idx], backend,
+                dim_tbl[order_idx], pos_tbl[order_idx],
             )
             region = _region_bytes_columns(layer, precision, parent)
 
@@ -623,13 +648,13 @@ class CandidateBatch:
                 parent_fills[data_type] = fills
             fill_bytes.append(level_fill)
 
-            spill = impl(psum_spill_bytes_kernel)(
+            spill = psum_spill_bytes_kernel(
                 level_fill[DataType.PSUMS], out_psum_bytes
             )
             psum_load.append(spill)
             if level_index == 0:
                 psum_writeback.append(
-                    impl(dram_psum_writeback_kernel)(
+                    dram_psum_writeback_kernel(
                         spill,
                         layer.output_elements * precision.activation_bytes,
                     )
@@ -655,7 +680,7 @@ class CandidateBatch:
             )
             for dim in _PAR_DIMS
         ]
-        util = impl(utilization_kernel)(
+        util = utilization_kernel(
             par_tbl.total_degree[par],
             arch.total_pes,
             arch.vector_width,
@@ -663,11 +688,11 @@ class CandidateBatch:
             dim_factors,
         )
         maccs = layer.maccs
-        cycles = impl(compute_cycles_kernel)(
+        cycles = compute_cycles_kernel(
             maccs, arch.peak_maccs_per_cycle, util
         )
         for index in range(levels):
-            crossing = impl(boundary_bus_bytes_kernel)(
+            crossing = boundary_bus_bytes_kernel(
                 fill_bytes[index][DataType.INPUTS],
                 fill_bytes[index][DataType.WEIGHTS],
                 psum_load[index],
@@ -692,7 +717,7 @@ class CandidateBatch:
         (
             dram_pj, _reads, _writes, level_energy, noc_pj, compute_pj,
             static_pj,
-        ) = impl(energy_accumulation_kernel)(
+        ) = energy_accumulation_kernel(
             num_levels=levels,
             fill_bytes=fill_bytes,
             psum_load_bytes=psum_load,
@@ -721,9 +746,9 @@ class CandidateBatch:
         elif objective == "latency":
             scores = cycles + 0.0
         elif objective == "edp":
-            scores = impl(edp_kernel)(total_pj, cycles, tech.clock_hz)
+            scores = edp_kernel(total_pj, cycles, tech.clock_hz)
         elif objective == "perf_per_watt":
-            scores = -impl(perf_per_watt_kernel)(maccs, total_pj)
+            scores = -perf_per_watt_kernel(maccs, total_pj)
         else:
             raise ValueError(f"unknown objective {objective!r}")
 

@@ -52,7 +52,6 @@ def build_config(args: argparse.Namespace) -> SessionConfig:
         use_cache=False if args.no_cache else None,
         vectorize=args.vectorize,
         budget_ms=args.budget_ms,
-        kernel_backend=args.kernel_backend,
         max_table_bytes=args.max_table_bytes,
         frames=args.frames,
         manifest_compact_ratio=args.manifest_compact_ratio,
@@ -151,15 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         "$REPRO_BUDGET_MS or unbudgeted); results are bit-identical to "
         "the unbudgeted search unless the budget is hit, in which case "
         "the best-so-far configuration is reported with its bound gap",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("numpy", "compiled"),
-        default=None,
-        help="kernel-execution backend for columnar passes (default: "
-        "$REPRO_KERNEL_BACKEND or numpy); 'compiled' JIT-compiles the "
-        "shared kernels when a JIT is installed and silently matches "
-        "numpy otherwise — results are bit-identical either way",
     )
     parser.add_argument(
         "--max-table-bytes",

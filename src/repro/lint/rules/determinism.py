@@ -20,17 +20,15 @@ contract is that a served result is bit-identical to the direct call,
 so it is result-producing too).  Reporting/benchmark code may
 legitimately read clocks; it lives outside this scope.
 
-Two modules are exempt from the *clock* check (and only that check):
-``repro/optimizer/clock.py``, the sanctioned injectable monotonic-clock
-resolver behind the budgeted anytime search, and
-``repro/serve/clock.py``, its twin for the serving layer (token-bucket
-refill, deadline-to-budget mapping, latency percentiles).  Both
-subsystems are timing-dependent by definition, but their result
+One module is exempt from the *clock* check (and only that check):
+``repro/optimizer/clock.py``, the sanctioned injectable monotonic clocks
+— the budget clock behind the anytime search and the serve clock
+(token-bucket refill, deadline-to-budget mapping, latency percentiles).
+Both subsystems are timing-dependent by definition, but their result
 contracts stay deterministic (a budgeted result is an exact prefix of
 the unbudgeted search; serving only adds admission control) — and
-funnelling every clock read through one injectable resolver per
-subsystem is what keeps them testable.  Clock reads anywhere else in
-scope stay banned.
+funnelling every clock read through one injectable module is what keeps
+them testable.  Clock reads anywhere else in scope stay banned.
 """
 
 from __future__ import annotations
@@ -59,14 +57,10 @@ _CLOCK_CALLS = frozenset(
 
 _SCOPED_PARTS = ("core", "optimizer", "sim", "serve")
 
-#: The sanctioned clock modules: the injectable monotonic-clock
-#: resolvers of the budgeted anytime search and of the serving layer
-#: (see the module docstring).  Matched as the trailing
-#: ``(package, filename)`` pair so the exemption cannot leak to an
-#: unrelated ``clock.py`` elsewhere.
-_SANCTIONED_CLOCK_MODULES = frozenset(
-    {("optimizer", "clock.py"), ("serve", "clock.py")}
-)
+#: The sanctioned clock module (see the module docstring), matched as
+#: the trailing ``(package, filename)`` pair so the exemption cannot leak
+#: to an unrelated ``clock.py`` elsewhere.
+_SANCTIONED_CLOCK_MODULE = ("optimizer", "clock.py")
 
 
 def _in_scope(module: ModuleInfo) -> bool:
@@ -76,7 +70,7 @@ def _in_scope(module: ModuleInfo) -> bool:
 
 def _clock_sanctioned(module: ModuleInfo) -> bool:
     parts = module.path.parts
-    return len(parts) >= 2 and parts[-2:] in _SANCTIONED_CLOCK_MODULES
+    return parts[-2:] == _SANCTIONED_CLOCK_MODULE
 
 
 def _is_set_expr(node: ast.expr) -> bool:

@@ -4,15 +4,12 @@ The shared formula kernels (``input_extent_kernel``,
 ``energy_accumulation_kernel``, ...) are the single implementation behind
 *both* execution paths: the scalar reference models call them with Python
 ints/floats and the columnar batch pipeline calls them with NumPy columns.
-ROADMAP item 3 additionally treats them as the lowering target for
-compiled (numba) and GPU (CuPy) backends.  That only works while a kernel
-is pure arithmetic over its arguments:
+That only works while a kernel is pure arithmetic over its arguments:
 
 * **no numpy** — referencing ``np``/``numpy`` (array constructors, ufuncs)
-  hard-wires one backend into code that must run under all of them;
+  hard-wires one representation into code that must run under both;
 * **no branching on arguments** — ``if x > 0:`` raises on an array column
-  (ambiguous truth value) and silently de-vectorises under tracing
-  backends; the idiom is arithmetic masking (``x * (x > 0)``), see
+  (ambiguous truth value); the idiom is arithmetic masking (``x * (x > 0)``), see
   ``clip_min0`` / ``minimum_kernel``;
 * **no ``and``/``or``** — short-circuit evaluation is truthiness; use the
   elementwise ``&`` / ``|``;
@@ -21,18 +18,14 @@ is pure arithmetic over its arguments:
 * **no argument mutation** — callers share columns between candidates;
 * **no module globals** — except other kernels, the sanctioned helper
   functions, class/enum references and ALL_CAPS structural constants
-  (anything else is hidden state a compiled backend cannot capture);
+  (anything else is hidden state the two paths need not agree on);
 * **no array-hostile builtins** — ``min``/``max``/``any``/``all``/
   ``bool``/``sorted`` have scalar-only or truthiness semantics.
 
-Two backend-contract extensions (docs/INVARIANTS.md, "Kernel backends"):
-the kernel-execution backend module (:mod:`repro.core.backend`) is
-sanctioned *by path* — its wrappers (jitted dispatchers, guarded
-fallbacks) are generated **from** the kernels, so the per-def purity
-checks do not apply there — and a cross-module check flags any public
-``*_kernel`` definition outside ``repro/core/`` that re-uses a core
-kernel's name: backends and simulators must *lower* the shared formulas,
-never fork their math under the same name.
+A cross-module check flags any public ``*_kernel`` definition outside
+``repro/core/`` that re-uses a core kernel's name: the simulators and
+columnar passes must *call* the shared formulas, never fork their math
+under the same name.
 """
 
 from __future__ import annotations
@@ -49,14 +42,6 @@ from repro.lint.engine import ModuleInfo, Rule, root_name
 SANCTIONED_HELPERS = frozenset(
     {"ceil_div", "clip_min0", "kernel_and_stride"}
 )
-
-#: Module-path suffixes exempt from the per-def purity checks: the
-#: kernel-execution backend generates compiled wrappers *from* the
-#: kernels (rebinding their globals, guarding JIT failures), which is
-#: exactly the module machinery kernels themselves must not contain.
-#: The :meth:`KernelPurityRule.finish` redefinition check still applies
-#: to it — sanctioned to lower, not to fork.
-SANCTIONED_BACKEND_MODULES = ("repro/core/backend.py",)
 
 #: Path fragment marking the home of the shared formula kernels.
 _CORE_FRAGMENT = "repro/core/"
@@ -146,14 +131,6 @@ class KernelPurityRule(Rule):
     )
 
     def check_module(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        if any(
-            module.display.endswith(suffix)
-            for suffix in SANCTIONED_BACKEND_MODULES
-        ):
-            # The backend lowers kernels (globals rebinding, JIT guards);
-            # its wrappers are generated from them, not kernels
-            # themselves.  finish() still polices redefinitions.
-            return []
         out: list[Diagnostic] = []
         for node in ast.walk(module.tree):
             if self._is_kernel_def(node):
@@ -166,20 +143,13 @@ class KernelPurityRule(Rule):
         """Cross-module check: no ``*_kernel`` name forked outside core.
 
         The ``repro/core/`` kernels are the single source of the model
-        math; every backend and simulator lowers *those* functions.  A
-        same-named public ``*_kernel`` def in any other ``repro`` module
-        is a fork waiting to drift — the compiled backend would silently
-        lower different math than the scalar oracle checks.
+        math; every simulator and columnar pass calls *those* functions.
+        A same-named public ``*_kernel`` def in any other ``repro`` module
+        is a fork waiting to drift from the math the scalar oracle checks.
         """
-        def is_backend(module: ModuleInfo) -> bool:
-            return any(
-                module.display.endswith(suffix)
-                for suffix in SANCTIONED_BACKEND_MODULES
-            )
-
         core_defs: dict[str, str] = {}
         for module in modules:
-            if _CORE_FRAGMENT not in module.display or is_backend(module):
+            if _CORE_FRAGMENT not in module.display:
                 continue
             for node in ast.walk(module.tree):
                 if self._is_kernel_def(node):
@@ -189,10 +159,7 @@ class KernelPurityRule(Rule):
         for module in modules:
             if "repro/" not in module.display:
                 continue  # tests/benchmarks may stub kernels freely
-            # The backend module sits under core/ but is a *consumer* of
-            # the kernels (exempt from the per-def checks above), so the
-            # redefinition check applies to it like any other module.
-            if _CORE_FRAGMENT in module.display and not is_backend(module):
+            if _CORE_FRAGMENT in module.display:
                 continue
             for node in ast.walk(module.tree):
                 if self._is_kernel_def(node) and node.name in core_defs:
@@ -202,9 +169,9 @@ class KernelPurityRule(Rule):
                         line=node.lineno,
                         message=(
                             f"{node.name}: redefines the core kernel "
-                            f"from {core_defs[node.name]}; backends must "
-                            "lower the shared kernel, never fork its "
-                            "math — import it instead"
+                            f"from {core_defs[node.name]}; call the "
+                            "shared kernel, never fork its math — "
+                            "import it instead"
                         ),
                     )
 
@@ -212,7 +179,7 @@ class KernelPurityRule(Rule):
     def _is_kernel_def(node: ast.AST) -> bool:
         """Public ``*_kernel`` function defs.  ``test_*`` functions and
         private ``_*`` helpers that merely end in ``_kernel`` are not
-        lowering targets and stay exempt."""
+        shared formulas and stay exempt."""
         return (
             isinstance(node, ast.FunctionDef)
             and node.name.endswith("_kernel")
@@ -369,7 +336,7 @@ class KernelPurityRule(Rule):
                 node,
                 f"uses builtin {name}(), which is not on the kernel "
                 "safe-list; kernels are restricted to structural "
-                "builtins so they stay lowerable",
+                "builtins so they stay array-agnostic",
             )
             return
         yield diag(

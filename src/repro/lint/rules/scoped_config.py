@@ -5,15 +5,14 @@ isolation guarantee — two differently configured sweeps in one process
 never observing each other — while *no* module quietly reads ``$REPRO_*``
 or mutates process-global state behind the session's back.  Configuration
 must flow through the documented resolution chain (active session >
-process defaults > environment > built-ins), which means:
+environment > built-ins), which means:
 
 * ``os.environ``/``os.getenv`` reads of ``REPRO_*`` variables are allowed
   only in the sanctioned resolvers: :mod:`repro.api` (the
   ``SessionConfig.from_env`` materialiser), the ``default_*`` resolvers
-  of :mod:`repro.optimizer.engine` — including the kernel-backend pair
-  ``default_kernel_backend`` / ``default_max_table_bytes``, the *only*
-  sanctioned readers of ``$REPRO_KERNEL_BACKEND`` /
-  ``$REPRO_MAX_TABLE_BYTES`` — and
+  of :mod:`repro.optimizer.engine` (``default_max_table_bytes`` is thus
+  the *only* sanctioned reader of ``$REPRO_MAX_TABLE_BYTES``; the
+  columnar passes in ``core/`` and ``sim/`` call it) and
   :func:`repro.workloads.networks.build_network` (the build-default
   resolver).  Anywhere else, read the active session instead.
 * The serving namespace is scoped *by key*: ``$REPRO_SERVE_*`` reads

@@ -17,10 +17,11 @@ Module map:
   ascending by objective lower bound — so the prune bites as early as
   possible; the ordering guarantee (equal-score ties keyed to candidate
   identity, never visit order) makes the chosen configuration and score
-  bit-identical to the legacy order, available for A/B runs via
-  ``OptimizerOptions(search_order="legacy")``.  Block bounds are
-  *parallelism-aware* (utilization ceiling + weight-replication floor,
-  ``parallel_floors=False`` for the shape-only bounds), and the search
+  bit-identical to the legacy order (kept as the test hook
+  ``OptimizerOptions(search_order="legacy")``).  Block bounds are
+  *parallelism-aware* (utilization ceiling + weight-replication floor;
+  the test hook ``parallel_floors=False`` gives the shape-only bounds),
+  and the search
   is *anytime*: ``OptimizerOptions(budget_ms=...)`` stops at the first
   block boundary past the budget and returns the best-so-far
   configuration with a certified ``LayerResult.bound_gap`` —
@@ -35,21 +36,16 @@ Module map:
   fan-out of unique searches, and the persistent configuration cache
   (paper Section V's "saved and recalled" configuration files).  Knobs:
   ``use_cache``, ``parallelism``, ``parallelism_mode``, ``cache_dir``,
-  ``cache_backend``, ``vectorize``, ``budget_ms``, ``kernel_backend``
-  (``"numpy"`` | ``"compiled"`` — the :mod:`repro.core.backend`
-  registry; ``"compiled"`` JIT-compiles the shared kernels when numba
-  is installed and silently matches numpy otherwise) and
+  ``cache_backend``, ``vectorize``, ``budget_ms`` and
   ``max_table_bytes`` (stream columnar tables in row chunks under a
   byte cap — bit-identical results, like every speed knob here) on
   :func:`optimize_network` / :func:`optimize_layer`; scoped defaults
-  via a
-  :class:`repro.api.Session` (preferred — concurrent sweeps with
-  different configs coexist in one process), legacy process-wide
-  defaults via the deprecated :func:`set_engine_defaults`, or the
+  via a :class:`repro.api.Session` (concurrent sweeps with different
+  configs coexist in one process), or the
   ``REPRO_PARALLELISM`` / ``REPRO_PARALLELISM_MODE`` /
   ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_BACKEND`` / ``REPRO_VECTORIZE``
-  / ``REPRO_BUDGET_MS`` / ``REPRO_KERNEL_BACKEND`` /
-  ``REPRO_MAX_TABLE_BYTES`` environment variables (runner flags of the
+  / ``REPRO_BUDGET_MS`` / ``REPRO_MAX_TABLE_BYTES`` environment
+  variables (runner flags of the
   same names exist for all of them; a malformed value raises naming
   the variable, it never silently falls back to a default).
 * :mod:`~repro.optimizer.config_store` — the JSON codec for whole-network

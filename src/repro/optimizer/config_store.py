@@ -14,8 +14,8 @@ The optimizer engine keeps one versioned JSON record per unique search,
 keyed by the sha256 of its search signature.  Where those records live is
 a :class:`ConfigStore` backend, selected with ``cache_backend=`` on
 :class:`~repro.optimizer.engine.OptimizerEngine` /
-:func:`~repro.optimizer.search.optimize_network`, process-wide via
-:func:`~repro.optimizer.engine.set_engine_defaults`, the
+:func:`~repro.optimizer.search.optimize_network`, per scope via
+:class:`repro.api.SessionConfig`, the
 ``REPRO_CACHE_BACKEND`` environment variable, or the runner's
 ``--cache-backend`` flag:
 

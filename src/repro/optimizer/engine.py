@@ -54,11 +54,9 @@ How experiments opt in/out
 ``parallelism``, ``parallelism_mode``, ``cache_dir``, ``cache_backend``
 and ``vectorize`` keywords.  Leaving them as ``None`` falls back through
 the resolution chain: the active :class:`repro.api.Session`'s config
-(the preferred way to configure the engine — scoped, so concurrent
-sweeps with different settings coexist in one process), then the
-process-wide defaults of the *deprecated* :func:`set_engine_defaults`
-mutator, then the ``REPRO_PARALLELISM`` /
-``REPRO_PARALLELISM_MODE`` / ``REPRO_CACHE_DIR`` /
+(the way to configure the engine — scoped, so concurrent sweeps with
+different settings coexist in one process), then the
+``REPRO_PARALLELISM`` / ``REPRO_PARALLELISM_MODE`` / ``REPRO_CACHE_DIR`` /
 ``REPRO_CACHE_BACKEND`` / ``REPRO_VECTORIZE`` environment variables
 (the experiment runner materialises its ``--parallelism`` /
 ``--parallelism-mode`` / ``--cache-dir`` / ``--cache-backend`` /
@@ -94,12 +92,11 @@ import hashlib
 import json
 import os
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro._scope import active_value
+from repro._scope import active_value, parse_bool
 from repro.arch.accelerator import AcceleratorConfig
 from repro.core.evaluate import CapacityError, evaluate
 from repro.core.layer import ConvLayer
@@ -127,82 +124,17 @@ CACHE_FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
-# Process-wide defaults (legacy: runner CLI flags / environment variables)
+# Knob defaults
 #
 # Resolution order of every ``default_*`` knob below:
 #   1. the active :class:`repro.api.Session`'s config (contextvar-scoped,
 #      so concurrent sessions in one process never see each other);
-#   2. the process-wide defaults set by the deprecated
-#      :func:`set_engine_defaults`;
-#   3. the ``$REPRO_*`` environment variable;
-#   4. the built-in default.
+#   2. the ``$REPRO_*`` environment variable;
+#   3. the built-in default.
 # ----------------------------------------------------------------------
-_DEFAULTS: dict = {
-    "parallelism": None,
-    "parallelism_mode": None,
-    "cache_dir": None,
-    "cache_backend": None,
-    "use_cache": None,
-    "vectorize": None,
-}
 
 #: Executor selectors accepted by ``parallelism_mode=``.
 PARALLELISM_MODES = ("process", "thread")
-
-#: Sentinel distinguishing "leave this knob untouched" from an explicit
-#: ``None`` ("clear it back to the environment-derived behaviour").
-_UNSET: object = object()
-
-
-def set_engine_defaults(
-    *,
-    parallelism=_UNSET,
-    parallelism_mode=_UNSET,
-    cache_dir=_UNSET,
-    cache_backend=_UNSET,
-    use_cache=_UNSET,
-    vectorize=_UNSET,
-) -> None:
-    """Set process-wide fallbacks for engine knobs left as ``None``.
-
-    .. deprecated::
-        Mutable process-wide defaults cannot express two differently
-        configured sweeps in one process.  Scope the configuration with
-        ``with repro.Session(repro.SessionConfig(...)):`` instead — the
-        session covers every knob this function covers (and more) and
-        restores the outer configuration on exit.
-
-    Omitting a knob leaves its current default untouched; passing ``None``
-    clears it back to the environment-derived behaviour (so repeated CLI
-    invocations in one process never inherit a stale default).
-    :func:`reset_engine_defaults` clears everything at once.
-    """
-    warnings.warn(
-        "set_engine_defaults() mutates process-wide state and is "
-        "deprecated; scope configuration with repro.Session / "
-        "repro.SessionConfig instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if parallelism is not _UNSET:
-        _DEFAULTS["parallelism"] = parallelism
-    if parallelism_mode is not _UNSET:
-        _DEFAULTS["parallelism_mode"] = _check_mode(parallelism_mode)
-    if cache_dir is not _UNSET:
-        _DEFAULTS["cache_dir"] = None if cache_dir is None else Path(cache_dir)
-    if cache_backend is not _UNSET:
-        _DEFAULTS["cache_backend"] = _check_backend(cache_backend)
-    if use_cache is not _UNSET:
-        _DEFAULTS["use_cache"] = use_cache
-    if vectorize is not _UNSET:
-        _DEFAULTS["vectorize"] = vectorize
-
-
-def reset_engine_defaults() -> None:
-    _DEFAULTS.update(
-        parallelism=None, parallelism_mode=None, cache_dir=None,
-        cache_backend=None, use_cache=None, vectorize=None,
-    )
 
 
 def _check_mode(mode):
@@ -231,8 +163,6 @@ def default_parallelism() -> int:
     scoped = active_value("parallelism")
     if scoped is not None:
         return max(1, scoped)
-    if _DEFAULTS["parallelism"] is not None:
-        return _DEFAULTS["parallelism"]
     env = os.environ.get("REPRO_PARALLELISM")
     if not env:
         return 1
@@ -246,13 +176,11 @@ def default_parallelism() -> int:
 
 def default_parallelism_mode() -> str:
     """Executor kind for parallel searches: ``"process"`` (default) or
-    ``"thread"`` (free-threaded builds), via the active session,
-    :func:`set_engine_defaults` or ``REPRO_PARALLELISM_MODE``."""
+    ``"thread"`` (free-threaded builds), via the active session or
+    ``REPRO_PARALLELISM_MODE``."""
     scoped = active_value("parallelism_mode")
     if scoped is not None:
         return _check_mode(scoped)
-    if _DEFAULTS["parallelism_mode"] is not None:
-        return _DEFAULTS["parallelism_mode"]
     env = os.environ.get("REPRO_PARALLELISM_MODE")
     if not env:
         return "process"
@@ -263,55 +191,29 @@ def default_cache_dir() -> Path | None:
     scoped = active_value("cache_dir")
     if scoped is not None:
         return Path(scoped)
-    if _DEFAULTS["cache_dir"] is not None:
-        return _DEFAULTS["cache_dir"]
     env = os.environ.get("REPRO_CACHE_DIR")
     return Path(env) if env else None
 
 
 def default_cache_backend() -> str | ConfigStore:
     """Config-store backend selector: ``"local"`` unless overridden via
-    the active session, :func:`set_engine_defaults` or
-    ``REPRO_CACHE_BACKEND``."""
+    the active session or ``REPRO_CACHE_BACKEND``."""
     scoped = active_value("cache_backend")
     if scoped is not None:
         return _check_backend(scoped)
-    if _DEFAULTS["cache_backend"] is not None:
-        return _DEFAULTS["cache_backend"]
     env = os.environ.get("REPRO_CACHE_BACKEND")
     if not env:
         return "local"
     return _check_backend(env.strip().lower())
 
 
-_BOOL_TOKENS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
-def _env_bool(name: str, value: str) -> bool:
-    """Strict boolean env parse: an unrecognised token raises instead of
-    silently meaning "true" (a typo'd ``REPRO_VECTORIZE=flase`` must not
-    masquerade as the default)."""
-    try:
-        return _BOOL_TOKENS[value.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"{name} must be a boolean (1/true/yes/on or 0/false/no/off), "
-            f"got {value!r}"
-        ) from None
-
-
 def default_use_cache() -> bool:
     scoped = active_value("use_cache")
     if scoped is not None:
         return scoped
-    if _DEFAULTS["use_cache"] is not None:
-        return _DEFAULTS["use_cache"]
     env = os.environ.get("REPRO_USE_CACHE")
     if env is not None and env.strip() != "":
-        return _env_bool("REPRO_USE_CACHE", env)
+        return parse_bool(env, "REPRO_USE_CACHE")
     return True
 
 
@@ -321,33 +223,12 @@ def default_vectorize() -> bool:
     scoped = active_value("vectorize")
     if scoped is not None:
         return scoped
-    if _DEFAULTS["vectorize"] is not None:
-        return _DEFAULTS["vectorize"]
     env = os.environ.get("REPRO_VECTORIZE")
     if env is not None and env.strip() != "":
-        return _env_bool("REPRO_VECTORIZE", env)
+        return parse_bool(env, "REPRO_VECTORIZE")
     from repro.core import batch
 
     return batch.available
-
-
-def default_search_order() -> str:
-    """Candidate-block visit order (``"best_first"`` unless overridden by
-    the active session or ``REPRO_SEARCH_ORDER``).  Like ``vectorize``,
-    this is a pure speed knob: results are bit-identical either way."""
-    scoped = active_value("search_order")
-    if scoped is not None:
-        return scoped
-    env = os.environ.get("REPRO_SEARCH_ORDER")
-    if env:
-        order = env.strip().lower()
-        if order not in ("best_first", "legacy"):
-            raise ValueError(
-                "REPRO_SEARCH_ORDER must be 'best_first' or 'legacy', "
-                f"got {env!r}"
-            )
-        return order
-    return "best_first"
 
 
 def default_budget_ms() -> float | None:
@@ -374,33 +255,6 @@ def default_budget_ms() -> float | None:
             f"REPRO_BUDGET_MS must be >= 0 (milliseconds), got {env!r}"
         )
     return budget
-
-
-def default_kernel_backend() -> str:
-    """Kernel-execution backend for the columnar passes (``"numpy"``
-    unless overridden by the active session or
-    ``$REPRO_KERNEL_BACKEND``).  A pure speed knob: every backend is
-    bit-identical to the scalar oracle (``docs/INVARIANTS.md``, backend
-    contract), so like ``vectorize`` it never enters search signatures.
-
-    A name outside the registry raises — a typo'd backend must never
-    silently run the default one.
-    """
-    scoped = active_value("kernel_backend")
-    if scoped is not None:
-        return scoped
-    env = os.environ.get("REPRO_KERNEL_BACKEND")
-    if env is None or env.strip() == "":
-        return "numpy"
-    from repro.core import backend as _backend
-
-    name = env.strip().lower()
-    if name not in _backend.KERNEL_BACKENDS:
-        known = ", ".join(_backend.backend_names())
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND must be one of {known}, got {env!r}"
-        )
-    return name
 
 
 def default_max_table_bytes() -> int | None:
@@ -887,6 +741,14 @@ class EngineStats:
         return text
 
 
+def _resolved(explicit, option, default):
+    """The first non-``None`` of an engine kwarg and its option field,
+    else the scoped default."""
+    if explicit is not None:
+        return explicit
+    return option if option is not None else default()
+
+
 class OptimizerEngine:
     """Deduplicating, parallel, cache-backed per-layer optimizer.
 
@@ -908,58 +770,31 @@ class OptimizerEngine:
         use_cache: bool | None = None,
         vectorize: bool | None = None,
         budget_ms: float | None = None,
-        kernel_backend: str | None = None,
         max_table_bytes: int | None = None,
         coalesce_inflight: bool | None = None,
     ) -> None:
         self.arch = arch
         self.options = options or OptimizerOptions()
-        # Resolve the speed knobs (vectorize, search order, anytime
-        # budget) here and bake them into the options so worker processes
-        # (which inherit neither set_engine_defaults state nor the active
-        # session's contextvar) follow the same path.  None affects
-        # results, signatures or cache keys — vectorize/search_order only
-        # change how candidates are scored and visited, and budget-
-        # exhausted results are never cached.
-        if vectorize is None:
-            vectorize = (
-                self.options.vectorize
-                if self.options.vectorize is not None
-                else default_vectorize()
-            )
-        self.vectorize = vectorize
-        resolved_order = (
-            self.options.search_order
-            if self.options.search_order is not None
-            else default_search_order()
+        # Resolve the speed knobs (vectorize, anytime budget, table cap)
+        # here and bake them into the options so worker processes (which
+        # do not inherit the active session's contextvar) follow the same
+        # path.  None affects results, signatures or cache keys —
+        # vectorize and the cap only change how candidates are scored,
+        # and budget-exhausted results are never cached.
+        options = self.options
+        self.vectorize = _resolved(
+            vectorize, options.vectorize, default_vectorize
         )
-        if budget_ms is None:
-            budget_ms = (
-                self.options.budget_ms
-                if self.options.budget_ms is not None
-                else default_budget_ms()
-            )
-        self.budget_ms = budget_ms
-        if kernel_backend is None:
-            kernel_backend = (
-                self.options.kernel_backend
-                if self.options.kernel_backend is not None
-                else default_kernel_backend()
-            )
-        self.kernel_backend = kernel_backend
-        if max_table_bytes is None:
-            max_table_bytes = (
-                self.options.max_table_bytes
-                if self.options.max_table_bytes is not None
-                else default_max_table_bytes()
-            )
-        self.max_table_bytes = max_table_bytes
+        self.budget_ms = _resolved(
+            budget_ms, options.budget_ms, default_budget_ms
+        )
+        self.max_table_bytes = _resolved(
+            max_table_bytes, options.max_table_bytes, default_max_table_bytes
+        )
         self.options = self.options.with_(
-            vectorize=vectorize,
-            search_order=resolved_order,
-            budget_ms=budget_ms,
-            kernel_backend=kernel_backend,
-            max_table_bytes=max_table_bytes,
+            vectorize=self.vectorize,
+            budget_ms=self.budget_ms,
+            max_table_bytes=self.max_table_bytes,
         )
         self.parallelism = (
             default_parallelism() if parallelism is None else max(1, parallelism)
@@ -1220,7 +1055,6 @@ def optimize_layer(
     cache_backend: str | ConfigStore | None = None,
     vectorize: bool | None = None,
     budget_ms: float | None = None,
-    kernel_backend: str | None = None,
     max_table_bytes: int | None = None,
     coalesce_inflight: bool | None = None,
 ) -> LayerResult:
@@ -1232,10 +1066,9 @@ def optimize_layer(
     search's wall-clock (anytime mode — see
     :attr:`repro.optimizer.search.OptimizerOptions.budget_ms`); ``None``
     defers to the session / ``REPRO_BUDGET_MS`` default.
-    ``kernel_backend`` / ``max_table_bytes`` select the kernel-execution
-    backend and the columnar-table memory cap (pure speed knobs,
+    ``max_table_bytes`` caps columnar-table memory (a pure speed knob,
     bit-identical results; ``None`` defers to the session /
-    ``REPRO_KERNEL_BACKEND`` / ``REPRO_MAX_TABLE_BYTES``).
+    ``REPRO_MAX_TABLE_BYTES``).
     ``coalesce_inflight`` (default on) subscribes concurrent identical
     searches to one another through the process-wide in-flight table
     instead of running them twice — pure concurrent dedup, identical
@@ -1254,7 +1087,6 @@ def optimize_layer(
         use_cache=use_cache,
         vectorize=vectorize,
         budget_ms=budget_ms,
-        kernel_backend=kernel_backend,
         max_table_bytes=max_table_bytes,
         coalesce_inflight=coalesce_inflight,
     )

@@ -76,20 +76,16 @@ class OptimizerOptions:
     vectorize: bool | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
-    #: Visit order of the (parallelism, L2-tile) candidate blocks:
-    #: ``"best_first"`` sorts blocks by ascending objective lower bound so
-    #: the early-prune incumbent tightens as fast as possible;
-    #: ``"legacy"`` keeps the historical enumeration order.  ``None``
-    #: defers to the engine default
-    #: (:func:`repro.optimizer.engine.default_search_order` — the active
-    #: session / ``REPRO_SEARCH_ORDER`` / ``"best_first"``).
-    #: **Ordering guarantee:** the chosen configuration and score are
-    #: bit-identical either way — equal-score ties are broken by candidate
-    #: identity (legacy enumeration rank), never by visit order — so,
-    #: like ``vectorize``, this is a pure speed knob excluded from search
-    #: signatures and cache keys.
-    search_order: str | None = dataclasses.field(
-        default=None, repr=False, compare=False
+    #: Test hook: visit order of the (parallelism, L2-tile) candidate
+    #: blocks.  ``"best_first"`` sorts blocks by ascending objective lower
+    #: bound so the early-prune incumbent tightens as fast as possible;
+    #: ``"legacy"`` keeps the historical enumeration order as an A/B
+    #: reference.  **Ordering guarantee:** the chosen configuration and
+    #: score are bit-identical either way — equal-score ties are broken
+    #: by candidate identity (legacy enumeration rank), never by visit
+    #: order — so it is excluded from search signatures and cache keys.
+    search_order: str = dataclasses.field(
+        default="best_first", repr=False, compare=False
     )
     #: Anytime search budget in milliseconds (``None`` = run to
     #: exhaustion; ``None`` in options also defers to the engine default
@@ -106,26 +102,13 @@ class OptimizerOptions:
     budget_ms: float | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
-    #: Parallelism-aware lower-bound floors (utilization ceiling +
-    #: replication energy floor) that differentiate same-L2-tile blocks.
-    #: A pure speed knob: the floors are provable lower bounds, so the
+    #: Test hook: parallelism-aware lower-bound floors (utilization
+    #: ceiling + replication energy floor) that differentiate
+    #: same-L2-tile blocks.  The floors are provable lower bounds, so the
     #: chosen configuration and score are bit-identical either way —
-    #: ``False`` restores the parallelism-blind PR 4 bound for A/B runs.
+    #: ``False`` restores the parallelism-blind bound as an A/B reference.
     parallel_floors: bool = dataclasses.field(
         default=True, repr=False, compare=False
-    )
-    #: Kernel-execution backend for the columnar batch evaluator —
-    #: ``"numpy"`` (plain vectorized kernels) or ``"compiled"`` (the same
-    #: kernels JIT-compiled via :mod:`repro.core.backend`; silently
-    #: identical to ``"numpy"`` when no JIT is installed).  Backends lower
-    #: the shared ``*_kernel`` formulas, never fork them, so scores and
-    #: winners are bit-identical across backends — a pure speed knob,
-    #: excluded from search signatures and cache keys.  ``None`` defers to
-    #: the engine default
-    #: (:func:`repro.optimizer.engine.default_kernel_backend` — the active
-    #: session / ``REPRO_KERNEL_BACKEND`` / ``"numpy"``).
-    kernel_backend: str | None = dataclasses.field(
-        default=None, repr=False, compare=False
     )
     #: Memory cap (bytes) on any one columnar candidate/schedule table.
     #: When set, batch scoring streams candidates in row chunks with
@@ -145,7 +128,7 @@ class OptimizerOptions:
                 f"unknown objective {self.objective!r}; "
                 f"choose from {sorted(OBJECTIVES)}"
             )
-        if self.search_order not in (None, "best_first", "legacy"):
+        if self.search_order not in ("best_first", "legacy"):
             raise ValueError(
                 f"unknown search_order {self.search_order!r}; "
                 "choose 'best_first' or 'legacy'"
@@ -154,10 +137,6 @@ class OptimizerOptions:
             raise ValueError(
                 f"budget_ms must be >= 0 (milliseconds), got {self.budget_ms!r}"
             )
-        if self.kernel_backend is not None:
-            from repro.core.backend import check_backend_name
-
-            check_backend_name(self.kernel_backend)
         if self.max_table_bytes is not None and self.max_table_bytes < 1:
             raise ValueError(
                 "max_table_bytes must be a positive byte count, "
@@ -483,14 +462,7 @@ class LayerOptimizer:
             from repro.core import batch
 
             self.vectorize = batch.available
-        self.search_order = resolve("search_order")
-        if self.search_order not in ("best_first", "legacy"):
-            raise ValueError(
-                f"unknown search_order {self.search_order!r}; "
-                "choose 'best_first' or 'legacy'"
-            )
         self.budget_ms = resolve("budget_ms")
-        self.kernel_backend = resolve("kernel_backend")
         self.max_table_bytes = resolve("max_table_bytes")
 
     # ------------------------------------------------------------------
@@ -731,7 +703,7 @@ class LayerOptimizer:
                             continue
                         yield row, inner, tiles, outer
 
-        best_first = self.search_order == "best_first"
+        best_first = self.options.search_order == "best_first"
         blocks = candidate_blocks(
             parallelisms, l2_tiles, best_first=best_first,
             block_bound=block_bound if best_first else None,
@@ -861,7 +833,6 @@ class _ColumnarBlocks:
         self.layer = layer
         self.arch = optimizer.arch
         self.objective = optimizer.options.objective
-        self.kernel_backend = optimizer.kernel_backend
         self.max_table_bytes = optimizer.max_table_bytes
         self.parallelisms = tuple(parallelisms)
         #: Stable order registry shared by outer and inner columns.
@@ -905,9 +876,7 @@ class _ColumnarBlocks:
         # ``max_table_bytes`` caps the score table, so chunked and
         # unchunked runs are bit-identical.
         winner, score, finite = batch.best(
-            self.objective,
-            kernel_backend=self.kernel_backend,
-            max_table_bytes=self.max_table_bytes,
+            self.objective, max_table_bytes=self.max_table_bytes
         )
         self.evaluated += finite
         # An all-infeasible block (score inf) is never offered: it could
@@ -975,7 +944,6 @@ def optimize_network(
     cache_backend=None,
     vectorize: bool | None = None,
     budget_ms: float | None = None,
-    kernel_backend: str | None = None,
     max_table_bytes: int | None = None,
 ) -> NetworkResult:
     """Optimize each layer of a network through the optimizer engine.
@@ -990,9 +958,8 @@ def optimize_network(
 
     ``parallelism`` > 1 fans unique-layer searches out across worker
     processes — or threads with ``parallelism_mode="thread"`` (the right
-    executor on free-threaded builds); ``None`` defers to the engine
-    defaults (see :func:`repro.optimizer.engine.set_engine_defaults` /
-    ``REPRO_PARALLELISM`` / ``REPRO_PARALLELISM_MODE``).  ``cache_dir``
+    executor on free-threaded builds); ``None`` defers to the active
+    session / ``REPRO_PARALLELISM`` / ``REPRO_PARALLELISM_MODE``.  ``cache_dir``
     likewise defaults to ``REPRO_CACHE_DIR`` when unset, and
     ``cache_backend`` selects the config-store layout — ``"local"``
     (flat directory), ``"sharded"`` (two-level fan-out for cluster-shared
@@ -1007,12 +974,9 @@ def optimize_network(
     wall-clock (anytime mode; ``None`` defers to the session /
     ``REPRO_BUDGET_MS`` default — see
     :attr:`OptimizerOptions.budget_ms` for the prefix/bit-identity
-    contract).  ``kernel_backend`` picks the kernel-execution backend
-    (``"numpy"`` / ``"compiled"``) and ``max_table_bytes`` caps columnar
-    table memory via chunked streaming — both pure speed knobs with
-    bit-identical results, deferring to ``REPRO_KERNEL_BACKEND`` /
-    ``REPRO_MAX_TABLE_BYTES`` when ``None`` (see
-    :attr:`OptimizerOptions.kernel_backend` /
+    contract).  ``max_table_bytes`` caps columnar table memory via
+    chunked streaming — a pure speed knob with bit-identical results,
+    deferring to ``REPRO_MAX_TABLE_BYTES`` when ``None`` (see
     :attr:`OptimizerOptions.max_table_bytes`).
 
     This function is a compatibility shim over :mod:`repro.api`: the call
@@ -1035,7 +999,6 @@ def optimize_network(
         use_cache=use_cache,
         vectorize=vectorize,
         budget_ms=budget_ms,
-        kernel_backend=kernel_backend,
         max_table_bytes=max_table_bytes,
     )
 
@@ -1046,14 +1009,10 @@ def clear_cache() -> None:
     Beyond the engine's layer/network memos and the Eyeriss baseline
     cache, this also resets the model-constant memos added for the
     columnar pipeline — the :func:`split_parallelism` divisor search, the
-    per-machine energy cost tables and the batch pipeline's constant
-    columns — and the kernel-backend state added for the compiled
-    backend: the compiled-kernel dispatch memos and chunk-plan caches of
-    :mod:`repro.core.backend`, so a cleared process re-JITs (or re-probes
-    for a JIT) from scratch.
+    per-machine energy cost tables, the batch pipeline's constant columns
+    and its chunk plans.
     """
     from repro.baselines import eyeriss
-    from repro.core import backend as kernel_backend
     from repro.core import batch, energy_model, performance_model
     from repro.optimizer import engine
 
@@ -1062,4 +1021,3 @@ def clear_cache() -> None:
     performance_model.clear_memos()
     energy_model.clear_memos()
     batch.clear_constant_caches()
-    kernel_backend.clear_backend_caches()

@@ -26,7 +26,7 @@ serve`` (line-JSON stdio, :mod:`repro.serve.protocol`).  See
 contract").
 """
 
-from repro.serve.clock import use_clock
+from repro.optimizer.clock import SERVE_CLOCK
 from repro.serve.config import ServeConfig
 from repro.serve.engine import (
     ServeEngine,
@@ -38,6 +38,10 @@ from repro.serve.engine import (
     TenantStats,
 )
 from repro.serve.protocol import serve_stdio
+
+#: Install a fake serve clock (``with use_clock(lambda: 0.0):``), separate
+#: from the search's budget clock — see :mod:`repro.optimizer.clock`.
+use_clock = SERVE_CLOCK.use
 
 __all__ = [
     "ServeConfig",

@@ -22,6 +22,8 @@ import dataclasses
 import os
 from typing import Any, Callable, Mapping
 
+from repro._scope import parse_bool
+
 __all__ = ["ServeConfig"]
 
 #: Built-in defaults applied by the ``effective_*`` accessors when every
@@ -62,15 +64,6 @@ def _burst_float(text: str) -> float:
     return value
 
 
-def _strict_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 #: ``$REPRO_SERVE_*`` variable -> (config field, strict parser).  The
 #: single source of truth for :meth:`ServeConfig.from_env`.
 _SERVE_ENV_FIELDS: dict[str, tuple[str, Callable[[str], Any]]] = {
@@ -78,7 +71,7 @@ _SERVE_ENV_FIELDS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "REPRO_SERVE_QUEUE_DEPTH": ("max_queue_depth", _positive_int),
     "REPRO_SERVE_TENANT_RATE": ("tenant_rate", _positive_float),
     "REPRO_SERVE_TENANT_BURST": ("tenant_burst", _burst_float),
-    "REPRO_SERVE_COALESCE": ("coalesce", _strict_bool),
+    "REPRO_SERVE_COALESCE": ("coalesce", parse_bool),
     "REPRO_SERVE_DEADLINE_MS": ("default_deadline_ms", _nonnegative_float),
 }
 
@@ -127,14 +120,10 @@ class ServeConfig:
                     raise ValueError(
                         f"{field} must be a number, got {value!r}"
                     ) from None
-        if self.coalesce is not None and not isinstance(self.coalesce, bool):
-            value = self.coalesce
-            if isinstance(value, str):
-                object.__setattr__(self, "coalesce", _strict_bool(value))
-            elif isinstance(value, int) and value in (0, 1):
-                object.__setattr__(self, "coalesce", bool(value))
-            else:
-                raise ValueError(f"coalesce must be a boolean, got {value!r}")
+        if self.coalesce is not None:
+            object.__setattr__(
+                self, "coalesce", parse_bool(self.coalesce, "coalesce")
+            )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:

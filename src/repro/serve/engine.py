@@ -32,8 +32,9 @@ The serving contract (docs/INVARIANTS.md, "serving contract"):
   dropping.
 
 All timing flows through the sanctioned injectable serve clock
-(:mod:`repro.serve.clock`), so quota refill, deadline mapping and
-latency percentiles are all exactly testable with a fake clock.
+(``SERVE_CLOCK`` in :mod:`repro.optimizer.clock`), so quota refill,
+deadline mapping and latency percentiles are all exactly testable with a
+fake clock.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, AsyncIterator, Callable, Mapping
 
 from repro.api import Session, SessionConfig, _coerce_network
+from repro.optimizer.clock import SERVE_CLOCK
 from repro.optimizer.engine import BackendCacheStats, EngineStats
 from repro.optimizer.search import (
     LayerResult,
     NetworkResult,
     OptimizerOptions,
 )
-from repro.serve.clock import now_ms
 from repro.serve.config import (
     DEFAULT_LATENCY_WINDOW,
     DEFAULT_RETRY_AFTER_MS,
@@ -371,7 +372,7 @@ class ServeEngine:
         step, so rejection ordering is deterministic: a request observes
         exactly the engine state left by previously *started* requests.
         """
-        now = now_ms()
+        now = SERVE_CLOCK.now_ms()
         with self._lock:
             tenant = self._tenant(request.tenant)
             if self._closed:
@@ -483,7 +484,7 @@ class ServeEngine:
                     budget_ms = None
                 else:
                     budget_ms = max(
-                        0.0, ticket.deadline_abs_ms - now_ms()
+                        0.0, ticket.deadline_abs_ms - SERVE_CLOCK.now_ms()
                     )
                 engine = session.engine(
                     arch,
@@ -514,7 +515,7 @@ class ServeEngine:
                 tenant=request.tenant,
                 network_name=network_name,
                 result=outcome,
-                latency_ms=max(0.0, now_ms() - ticket.admitted_ms),
+                latency_ms=max(0.0, SERVE_CLOCK.now_ms() - ticket.admitted_ms),
                 budget_exhausted=any(r.budget_exhausted for r in results),
                 stats=stats,
             )

@@ -36,12 +36,7 @@ import dataclasses
 
 from repro.arch.accelerator import AcceleratorConfig
 from repro.core.access_model import compute_traffic
-from repro.core.backend import (
-    KernelBackend,
-    plan_chunk_rows,
-    resolve_kernel_backend,
-    resolve_max_table_bytes,
-)
+from repro.core.batch import plan_chunk_rows, resolve_max_table_bytes
 from repro.core.dataflow import Dataflow
 from repro.core.dims import DataType, Dim
 from repro.core.performance_model import (
@@ -166,18 +161,16 @@ def simulate_pipeline(
     arch: AcceleratorConfig,
     *,
     vectorize: bool | None = None,
-    kernel_backend: str | None = None,
     max_table_bytes: int | None = None,
 ) -> PipelineReport:
     """Walk the outer tile schedule with double-buffered overlap.
 
     ``vectorize`` selects the columnar pass over the scalar reference
     walk (default: the engine knob / ``REPRO_VECTORIZE``);
-    ``kernel_backend`` picks the kernel-execution backend and
     ``max_table_bytes`` streams the outer schedule in bounded chunks
-    with a carried pipeline state (``None`` knobs defer to the scoped
-    defaults).  Reports are bit-identical across every path, backend
-    and chunking.
+    with a carried pipeline state (``None`` defers to the scoped
+    default).  Reports are bit-identical across every path and
+    chunking.
     """
     from repro.sim.trace import _resolve_vectorize
 
@@ -194,15 +187,13 @@ def simulate_pipeline(
     dram_bw = arch.noc.boundary_bandwidth_bytes_per_cycle(0)
 
     if _resolve_vectorize(vectorize):
-        backend = resolve_kernel_backend(kernel_backend)
         cap = resolve_max_table_bytes(max_table_bytes)
         if cap is not None:
             return _simulate_columnar_chunked(
-                dataflow, arch, peak, inner_bus_cycles_total, dram_bw,
-                backend, cap,
+                dataflow, arch, peak, inner_bus_cycles_total, dram_bw, cap
             )
         return _simulate_columnar(
-            dataflow, arch, peak, inner_bus_cycles_total, dram_bw, backend
+            dataflow, arch, peak, inner_bus_cycles_total, dram_bw
         )
     return _simulate_scalar(
         dataflow, arch, peak, inner_bus_cycles_total, dram_bw
@@ -302,7 +293,6 @@ def _simulate_columnar(
     peak: float,
     inner_bus_cycles_total: float,
     dram_bw: float,
-    backend: KernelBackend | None = None,
 ) -> PipelineReport:
     """One-table re-expression of the scalar walk over the outer schedule.
 
@@ -337,17 +327,9 @@ def _simulate_columnar(
         ).any(axis=0)
         return flags
 
-    if backend is None:
-        in_elems = input_tile_elements_kernel
-        wt_elems = weight_tile_elements_kernel
-        ps_elems = psum_tile_elements_kernel
-    else:
-        in_elems = backend.kernel_impl(input_tile_elements_kernel)
-        wt_elems = backend.kernel_impl(weight_tile_elements_kernel)
-        ps_elems = backend.kernel_impl(psum_tile_elements_kernel)
-    in_bytes = in_elems(layer, w, h, c, f) * precision.activation_bytes
-    wt_bytes = wt_elems(layer, c, k) * precision.weight_bytes
-    ps_bytes = ps_elems(w, h, k, f) * precision.activation_bytes
+    in_bytes = input_tile_elements_kernel(layer, w, h, c, f) * precision.activation_bytes
+    wt_bytes = weight_tile_elements_kernel(layer, c, k) * precision.weight_bytes
+    ps_bytes = psum_tile_elements_kernel(w, h, k, f) * precision.activation_bytes
 
     load_bytes = (
         moved((Dim.W, Dim.H, Dim.C, Dim.F)) * in_bytes
@@ -394,7 +376,6 @@ def _simulate_columnar_chunked(
     peak: float,
     inner_bus_cycles_total: float,
     dram_bw: float,
-    backend: KernelBackend,
     max_table_bytes: int,
 ) -> PipelineReport:
     """The columnar pass streamed in row chunks under a memory cap.
@@ -418,9 +399,6 @@ def _simulate_columnar_chunked(
 
     layer = dataflow.layer
     precision = arch.precision
-    in_elems = backend.kernel_impl(input_tile_elements_kernel)
-    wt_elems = backend.kernel_impl(weight_tile_elements_kernel)
-    ps_elems = backend.kernel_impl(psum_tile_elements_kernel)
 
     n = int(
         child_counts(
@@ -461,9 +439,9 @@ def _simulate_columnar_chunked(
             both = dim_rows + [r + 5 for r in dim_rows]
             return (coords[both] != shifted[both]).any(axis=0)
 
-        in_bytes = in_elems(layer, w, h, c, f) * precision.activation_bytes
-        wt_bytes = wt_elems(layer, c, k) * precision.weight_bytes
-        ps_bytes = ps_elems(w, h, k, f) * precision.activation_bytes
+        in_bytes = input_tile_elements_kernel(layer, w, h, c, f) * precision.activation_bytes
+        wt_bytes = weight_tile_elements_kernel(layer, c, k) * precision.weight_bytes
+        ps_bytes = psum_tile_elements_kernel(w, h, k, f) * precision.activation_bytes
         load_cycles = (
             moved(in_rows) * in_bytes + moved(wt_rows) * wt_bytes
         ).astype(np.float64) / dram_bw

@@ -29,9 +29,8 @@ one simulator, not a fork, and their per-level fill/writeback/slide
 counters are **bit-identical** (pinned by ``tests/test_sim_equivalence.py``
 and the equivalence suites).  The columnar pass is what makes validating
 full registered networks feasible; the scalar walk stays as the reference
-and escape hatch.  Select per call (``vectorize=``), process-wide
-(the active :class:`repro.api.Session`'s ``vectorize``, the deprecated
-:func:`repro.optimizer.engine.set_engine_defaults`) or via the
+and escape hatch.  Select per call (``vectorize=``), per scope (the
+active :class:`repro.api.Session`'s ``vectorize``) or via the
 ``REPRO_VECTORIZE`` environment variable.
 
 This is exponentially slower than :func:`repro.core.access_model.
@@ -44,12 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.backend import (
-    KernelBackend,
-    plan_chunk_rows,
-    resolve_kernel_backend,
-    resolve_max_table_bytes,
-)
+from repro.core.batch import plan_chunk_rows, resolve_max_table_bytes
 from repro.core.dataflow import Dataflow
 from repro.core.dims import ALL_DATA_TYPES, DataType, Dim
 from repro.core.layer import ConvLayer
@@ -218,9 +212,8 @@ def _empty_boundaries(levels: int) -> list[TraceBoundary]:
 def _resolve_vectorize(vectorize: bool | None) -> bool:
     """Resolve the knob like the optimizer engine: explicit argument,
     else :func:`~repro.optimizer.engine.default_vectorize` (honouring
-    the active session, ``set_engine_defaults`` and ``REPRO_VECTORIZE``);
-    either way the
-    columnar path needs NumPy."""
+    the active session and ``REPRO_VECTORIZE``); either way the columnar
+    path needs NumPy."""
     from repro.core import batch
 
     if vectorize is None:
@@ -235,26 +228,23 @@ def trace_dataflow(
     precision: Precision = DEFAULT_PRECISION,
     *,
     vectorize: bool | None = None,
-    kernel_backend: str | None = None,
     max_table_bytes: int | None = None,
 ) -> TraceReport:
     """Simulate the full schedule and return observed per-boundary traffic.
 
     ``vectorize`` selects the columnar pass (default: on when NumPy is
     available, following the engine's knob and ``REPRO_VECTORIZE``); the
-    scalar walk is the reference path.  ``kernel_backend`` picks the
-    kernel-execution backend for the columnar pass and
-    ``max_table_bytes`` caps its peak table memory by streaming the
-    schedule in chunks with carried residency state (``None`` knobs
-    defer to the scoped defaults).  Counters are bit-identical across
-    every path, backend and chunking.
+    scalar walk is the reference path.  ``max_table_bytes`` caps the
+    columnar pass's peak table memory by streaming the schedule in
+    chunks with carried residency state (``None`` defers to the scoped
+    default).  Counters are bit-identical across every path and
+    chunking.
     """
     if _resolve_vectorize(vectorize):
-        backend = resolve_kernel_backend(kernel_backend)
         cap = resolve_max_table_bytes(max_table_bytes)
         if cap is not None:
-            return _trace_columnar_chunked(dataflow, precision, backend, cap)
-        return _trace_columnar(dataflow, precision, backend)
+            return _trace_columnar_chunked(dataflow, precision, cap)
+        return _trace_columnar(dataflow, precision)
     return _trace_scalar(dataflow, precision)
 
 
@@ -339,11 +329,7 @@ def _trace_scalar(dataflow: Dataflow, precision: Precision) -> TraceReport:
 # ----------------------------------------------------------------------
 # Columnar pass
 # ----------------------------------------------------------------------
-def _trace_columnar(
-    dataflow: Dataflow,
-    precision: Precision,
-    backend: KernelBackend | None = None,
-) -> TraceReport:
+def _trace_columnar(dataflow: Dataflow, precision: Precision) -> TraceReport:
     """Array-pass re-expression of the scalar walk, level by level.
 
     Per boundary, the full visit sequence is one coordinate table; the
@@ -360,19 +346,14 @@ def _trace_columnar(
     boundaries = _empty_boundaries(levels)
     weight_taps = layer.r * layer.s * layer.t
     psum_elem = precision.bytes_of(DataType.PSUMS)
-    region_bytes = (
-        region_bytes_kernel
-        if backend is None
-        else backend.kernel_impl(region_bytes_kernel)
-    )
 
     for boundary, table in zip(boundaries, schedule_tables(dataflow)):
         for data_type in ALL_DATA_TYPES:
             elem = precision.bytes_of(data_type)
             per_point = weight_taps if data_type is DataType.WEIGHTS else 1
-            lo, hi = _interval_columns(layer, data_type, table, backend)
+            lo, hi = _interval_columns(layer, data_type, table)
             lengths = hi - lo
-            sizes = region_bytes(elem, per_point, *lengths)
+            sizes = region_bytes_kernel(elem, per_point, *lengths)
             # resident(row i) == region(row i - 1): a fill happens exactly
             # where some axis differs from the previous row.
             axis_differs = (lo[:, 1:] != lo[:, :-1]) | (hi[:, 1:] != hi[:, :-1])
@@ -386,7 +367,7 @@ def _trace_columnar(
                     sizes[changed].sum()
                     - _slide_credits(
                         lo, hi, lengths, axis_differs, changed,
-                        table.first_child, elem, backend,
+                        table.first_child, elem,
                     )
                 )
             elif data_type is DataType.WEIGHTS:
@@ -429,7 +410,6 @@ class _ChunkTraceState:
 def _trace_columnar_chunked(
     dataflow: Dataflow,
     precision: Precision,
-    backend: KernelBackend,
     max_table_bytes: int,
 ) -> TraceReport:
     """The columnar pass streamed in row chunks under a memory cap.
@@ -453,8 +433,6 @@ def _trace_columnar_chunked(
     levels = dataflow.hierarchy.levels
     boundaries = _empty_boundaries(levels)
     weight_taps = layer.r * layer.s * layer.t
-    region_bytes = backend.kernel_impl(region_bytes_kernel)
-    slide_reuse = backend.kernel_impl(slide_reuse_kernel)
 
     for index in range(levels):
         # Streaming boundary ``index`` keeps one bounded chunk alive per
@@ -469,9 +447,9 @@ def _trace_columnar_chunked(
                 state = states[data_type]
                 elem = precision.bytes_of(data_type)
                 per_point = weight_taps if data_type is DataType.WEIGHTS else 1
-                lo, hi = _interval_columns(layer, data_type, chunk, backend)
+                lo, hi = _interval_columns(layer, data_type, chunk)
                 lengths = hi - lo
-                sizes = region_bytes(elem, per_point, *lengths)
+                sizes = region_bytes_kernel(elem, per_point, *lengths)
                 if state.prev_lo is None:
                     state.prev_lo = lo[:, 0] - 1
                     state.prev_hi = hi[:, 0].copy()
@@ -494,11 +472,11 @@ def _trace_columnar_chunked(
                     rows = np.flatnonzero(eligible)
                     if rows.size:
                         axis = np.argmax(axis_differs[:, rows], axis=0)
-                        overlap = slide_reuse(
+                        overlap = slide_reuse_kernel(
                             lo[axis, rows], hi[axis, rows],
                             lo_ext[axis, rows], hi_ext[axis, rows],
                         )
-                        cross = region_bytes(elem, 1, *lengths[:, rows])
+                        cross = region_bytes_kernel(elem, 1, *lengths[:, rows])
                         cross //= lengths[axis, rows]
                         filled -= int((overlap * cross).sum())
                 state.fill_bytes += filled
@@ -530,26 +508,16 @@ def _trace_columnar_chunked(
     return TraceReport(layer=layer, boundaries=boundaries, precision=precision)
 
 
-def _interval_columns(
-    layer: ConvLayer,
-    data_type: DataType,
-    table,
-    backend: KernelBackend | None = None,
-):
+def _interval_columns(layer: ConvLayer, data_type: DataType, table):
     """``(lo, hi)`` ``(axes, N)`` interval columns of every visit's region."""
     import numpy as np
 
     from repro.core.batch import DIM_INDEX
 
-    interval = (
-        interval_kernel
-        if backend is None
-        else backend.kernel_impl(interval_kernel)
-    )
     los, his = [], []
     for dim in _REGION_DIMS[data_type]:
         span, stride = _span_stride(layer, data_type, dim)
-        lo, hi = interval(
+        lo, hi = interval_kernel(
             table.origin[DIM_INDEX[dim]], table.extent[DIM_INDEX[dim]],
             span, stride,
         )
@@ -559,8 +527,7 @@ def _interval_columns(
 
 
 def _slide_credits(
-    lo, hi, lengths, axis_differs, changed, first_child, elem: int,
-    backend: KernelBackend | None = None,
+    lo, hi, lengths, axis_differs, changed, first_child, elem: int
 ) -> int:
     """Total bytes saved by forward single-axis slides, summed over fills.
 
@@ -573,27 +540,17 @@ def _slide_credits(
     """
     import numpy as np
 
-    slide_reuse = (
-        slide_reuse_kernel
-        if backend is None
-        else backend.kernel_impl(slide_reuse_kernel)
-    )
-    region_bytes = (
-        region_bytes_kernel
-        if backend is None
-        else backend.kernel_impl(region_bytes_kernel)
-    )
     eligible = changed[1:] & ~first_child[1:] & (axis_differs.sum(axis=0) == 1)
     rows = np.flatnonzero(eligible) + 1  # row index into the full table
     if rows.size == 0:
         return 0
     axis = np.argmax(axis_differs[:, rows - 1], axis=0)
-    overlap = slide_reuse(
+    overlap = slide_reuse_kernel(
         lo[axis, rows], hi[axis, rows], lo[axis, rows - 1], hi[axis, rows - 1]
     )
     # sizes = elem * prod(lengths); dividing out the slide axis leaves the
     # cross-section the overlap is multiplied by (exact: lengths >= 1).
-    cross_section = region_bytes(elem, 1, *lengths[:, rows])
+    cross_section = region_bytes_kernel(elem, 1, *lengths[:, rows])
     cross_section //= lengths[axis, rows]
     return int((overlap * cross_section).sum())
 

@@ -24,8 +24,6 @@ from repro.optimizer.config_store import (
 from repro.optimizer.engine import (
     optimize_layer,
     reset_cache_statistics,
-    reset_engine_defaults,
-    set_engine_defaults,
 )
 from repro.optimizer.search import (
     OptimizerOptions,
@@ -56,12 +54,10 @@ TINY = OptimizerOptions.fast(
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    reset_engine_defaults()
     clear_cache()
     clear_memory_stores()
     reset_cache_statistics()
     yield
-    reset_engine_defaults()
     clear_cache()
     clear_memory_stores()
     reset_cache_statistics()
@@ -91,8 +87,6 @@ class TestSessionConfig:
             SessionConfig(parallelism_mode="fibers")
         with pytest.raises(ValueError, match="cache_backend"):
             SessionConfig(cache_backend="bogus")
-        with pytest.raises(ValueError, match="search_order"):
-            SessionConfig(search_order="random")
         with pytest.raises(ValueError, match="frames"):
             SessionConfig(frames=0)
         with pytest.raises(ValueError, match="manifest_compact_ratio"):
@@ -141,7 +135,6 @@ class TestSessionConfig:
             cache_dir=tmp_path,
             cache_backend="sharded",
             vectorize=False,
-            search_order="legacy",
             frames=32,
             manifest_compact_ratio=8.0,
         )
@@ -150,6 +143,17 @@ class TestSessionConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="paralelism"):
             SessionConfig.from_dict({"paralelism": 4})
+
+    @pytest.mark.parametrize(
+        "retired",
+        [{"kernel_backend": "numpy"}, {"search_order": "legacy"}],
+        ids=["kernel_backend", "search_order"],
+    )
+    def test_retired_fields_fail_loudly(self, retired):
+        """Config files naming a removed knob raise instead of being
+        silently ignored."""
+        with pytest.raises(ValueError, match="unknown SessionConfig field"):
+            SessionConfig.from_dict(retired)
 
     def test_store_instance_not_serializable(self):
         config = SessionConfig(cache_backend=MemoryStore())
@@ -247,12 +251,11 @@ class TestScoping:
 
     def test_session_beats_global_defaults_and_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLELISM", "2")
-        with pytest.deprecated_call():
-            set_engine_defaults(parallelism=4)
         with Session(SessionConfig(parallelism=6)):
             assert engine_mod.default_parallelism() == 6
-        assert engine_mod.default_parallelism() == 4
-        reset_engine_defaults()
+            with Session(SessionConfig(parallelism=4)):
+                assert engine_mod.default_parallelism() == 4
+            assert engine_mod.default_parallelism() == 6
         assert engine_mod.default_parallelism() == 2
 
     def test_unset_fields_fall_through_to_env(self, monkeypatch):
@@ -313,14 +316,6 @@ class TestScoping:
             assert _resolve_vectorize(None) is False
         with Session(SessionConfig(vectorize=True)):
             assert _resolve_vectorize(None) is True
-
-    def test_search_order_scoped(self):
-        from repro.optimizer.search import LayerOptimizer
-
-        with Session(SessionConfig(search_order="legacy")):
-            assert engine_mod.default_search_order() == "legacy"
-            assert LayerOptimizer(morph(), TINY).search_order == "legacy"
-        assert engine_mod.default_search_order() == "best_first"
 
     def test_current_session_honours_scope(self):
         outer = default_session()
@@ -392,25 +387,16 @@ class TestSessionSurface:
 # Legacy shims
 # ----------------------------------------------------------------------
 class TestLegacyShims:
-    def test_set_engine_defaults_warns(self):
-        with pytest.deprecated_call():
-            set_engine_defaults(parallelism=2)
-        reset_engine_defaults()
-
     def test_shim_results_bit_identical_to_session(self, morph_arch):
         clear_cache()
         via_session = Session(SessionConfig(parallelism=1)).optimize_network(
             NETWORK, morph_arch, TINY, network_name="net"
         )
         clear_cache()
-        with pytest.deprecated_call():
-            set_engine_defaults(parallelism=1)
-        try:
+        with Session(SessionConfig(parallelism=1)):
             via_shim = optimize_network(
                 NETWORK, morph_arch, TINY, network_name="net"
             )
-        finally:
-            reset_engine_defaults()
         assert _fingerprint(via_shim) == _fingerprint(via_session)
 
     def test_shims_follow_active_session(self, morph_arch, tmp_path):
@@ -422,8 +408,8 @@ class TestLegacyShims:
         assert list(tmp_path.glob("*.json"))
 
     def test_repo_entry_points_emit_no_deprecation_warning(self):
-        """The repo's own code no longer calls the deprecated mutator:
-        the cheap experiments run clean under error-on-DeprecationWarning
+        """The repo's own entry points make no deprecated calls: the
+        cheap experiments run clean under error-on-DeprecationWarning
         (CI additionally runs the full runner this way)."""
         from repro.experiments import EXPERIMENTS
 
@@ -661,7 +647,6 @@ class TestRunnerConfig:
             no_cache=False,
             vectorize=None,
             budget_ms=None,
-            kernel_backend=None,
             max_table_bytes=None,
             frames=None,
             manifest_compact_ratio=None,

@@ -373,7 +373,6 @@ class TestEngineKnob:
     def test_env_escape_hatch(self, monkeypatch):
         from repro.optimizer import engine
 
-        engine.reset_engine_defaults()
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert engine.default_vectorize() is False
         monkeypatch.setenv("REPRO_VECTORIZE", "1")
@@ -381,17 +380,15 @@ class TestEngineKnob:
         monkeypatch.delenv("REPRO_VECTORIZE")
         assert engine.default_vectorize() is True  # numpy is available
 
-    def test_set_engine_defaults_round_trip(self):
+    def test_session_default_round_trip(self):
+        from repro.api import Session, SessionConfig
         from repro.optimizer import engine
 
-        try:
-            with pytest.deprecated_call():
-                engine.set_engine_defaults(vectorize=False)
+        with Session(SessionConfig(vectorize=False)):
             assert engine.default_vectorize() is False
             opt = LayerOptimizer(morph(), OptimizerOptions())
             assert opt.vectorize is False
-        finally:
-            engine.reset_engine_defaults()
+        assert engine.default_vectorize() is True  # numpy is available
 
     def test_optimize_network_knob_identical(self):
         layer = ConvLayer(

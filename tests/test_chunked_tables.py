@@ -1,28 +1,23 @@
-"""Backend and chunking equivalence harness for the compiled kernel layer.
+"""Chunking equivalence harness for the columnar passes.
 
-The ``repro.core.backend`` contract (``docs/INVARIANTS.md``): backends
-*lower* the shared ``*_kernel`` functions, they never fork the math, so
-every backend — and every ``max_table_bytes`` chunking of a columnar
-pass — must be **bit-identical** to the scalar oracle.  These tests pin
-that contract:
+The chunking contract (``docs/INVARIANTS.md``): a ``max_table_bytes``
+cap makes candidate scoring and the trace/pipeline simulators stream
+their tables in row chunks with carried reductions, and every chunked
+pass must be **bit-identical** to the unchunked pass and the scalar
+oracle.  These tests pin that contract:
 
-* hypothesis properties compare scalar vs ``"numpy"`` vs ``"compiled"``
-  backends on random strided/dilated layers: candidate scores, chosen
-  winners, and the trace/pipeline simulator counters;
-* chunked-vs-unchunked identity, including a forced multi-chunk
+* hypothesis properties compare the scalar simulator walks against the
+  columnar passes, unchunked and chunked, on random strided/dilated
+  dataflows, plus a deterministic dilated case in many tiny chunks;
+* chunked-vs-unchunked scoring identity, including a forced multi-chunk
   tie-break (the first-min rule must survive chunk boundaries) and a
   ``max_table_bytes`` smaller than one table row (clean ``ValueError``);
 * an allocation-tracking test that the streamed slices actually respect
   the cap on a batch whose full table exceeds it;
-* ``repro.clear_cache()`` resets the backend dispatch memos and chunk
-  plans;
-* strict ``$REPRO_KERNEL_BACKEND`` / ``$REPRO_MAX_TABLE_BYTES`` parsing
-  (errors name the variable and the offending value) and the session >
-  environment > built-in resolution chain.
-
-When numba is absent the ``compiled`` backend silently resolves to the
-pure-Python kernels — by design — so this whole suite passes either way;
-the identity assertions are exactly as strong in fallback mode.
+* ``repro.clear_cache()`` resets the chunk plans;
+* strict ``$REPRO_MAX_TABLE_BYTES`` parsing (errors name the variable
+  and the offending value) and the session > environment > built-in
+  resolution chain.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.arch.accelerator import eyeriss_like, morph, morph_base
-from repro.core import backend as kb
+from repro.core import batch as batch_mod
 from repro.core.batch import CandidateBatch
 from repro.core.dataflow import Dataflow, Parallelism
 from repro.core.dims import ALL_DIMS
@@ -44,11 +39,7 @@ from repro.core.evaluate import CapacityError, evaluate
 from repro.core.layer import ConvLayer
 from repro.core.loopnest import LoopOrder, all_loop_orders
 from repro.core.tiling import TileHierarchy, TileShape
-from repro.optimizer.search import (
-    OBJECTIVES,
-    LayerOptimizer,
-    OptimizerOptions,
-)
+from repro.optimizer.search import OBJECTIVES, OptimizerOptions
 from repro.sim.pipeline_sim import simulate_pipeline
 from repro.sim.trace import trace_dataflow
 
@@ -195,81 +186,19 @@ def assert_trace_reports_identical(a, b) -> None:
 
 
 # ----------------------------------------------------------------------
-# Backend bit-identity: scalar vs numpy vs compiled
+# Simulators: scalar walk vs columnar pass vs chunked columnar pass
 # ----------------------------------------------------------------------
-class TestBackendScoreIdentity:
-    """Same scores and winners through every registered backend."""
-
-    @given(case=batch_cases(), objective=st.sampled_from(sorted(OBJECTIVES)))
-    @settings(max_examples=25, deadline=None)
-    def test_scores_bitwise_equal_across_backends(self, case, objective):
-        batch, rows, hierarchies = case
-        via_numpy = batch.scores(objective, kernel_backend="numpy")
-        via_compiled = batch.scores(objective, kernel_backend="compiled")
-        # Bit-identity between backends (inf compares equal to inf).
-        assert np.array_equal(via_numpy, via_compiled)
-        # And both match the scalar oracle row by row.
-        for i in range(len(batch)):
-            try:
-                expected = OBJECTIVES[objective](
-                    evaluate(batch.dataflow(i), batch.arch)
-                )
-            except CapacityError:
-                assert math.isinf(via_compiled[i]), (i, rows[i])
-                continue
-            assert via_compiled[i] == expected, (i, rows[i])
-
-    @given(case=batch_cases(), objective=st.sampled_from(sorted(OBJECTIVES)))
-    @settings(max_examples=25, deadline=None)
-    def test_best_identical_across_backends(self, case, objective):
-        batch, _, _ = case
-        base = batch.best(objective, kernel_backend="numpy")
-        compiled = batch.best(objective, kernel_backend="compiled")
-        assert base == compiled
-        scores = batch.scores(objective)
-        assert base[0] == int(np.argmin(scores))
-        assert base[1] == float(scores[base[0]])
-        assert base[2] == int(np.isfinite(scores).sum())
-
-    @given(
-        layer=layers(),
-        objective=st.sampled_from(sorted(OBJECTIVES)),
-        arch_name=st.sampled_from(sorted(ARCHES)),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_search_winner_identical(self, layer, objective, arch_name):
-        """Full LayerOptimizer run: compiled backend changes nothing."""
-        arch = ARCHES[arch_name]()
-        options = SMALL_OPTIONS.with_(objective=objective, vectorize=True)
-        try:
-            base = LayerOptimizer(arch, options).optimize(layer)
-        except CapacityError:
-            with pytest.raises(CapacityError):
-                LayerOptimizer(
-                    arch, options.with_(kernel_backend="compiled")
-                ).optimize(layer)
-            return
-        compiled = LayerOptimizer(
-            arch, options.with_(kernel_backend="compiled")
-        ).optimize(layer)
-        assert compiled.best.dataflow == base.best.dataflow
-        assert compiled.score == base.score
-        assert compiled.evaluated == base.evaluated
-
-
-class TestSimulatorBackendIdentity:
-    """Trace/pipeline counters identical through every backend + chunking."""
+class TestSimulatorChunking:
+    """Trace/pipeline counters identical through every path + chunking."""
 
     @given(dataflow=sim_dataflows())
     @settings(max_examples=20, deadline=None)
     def test_trace_counters_identical(self, dataflow):
         scalar = trace_dataflow(dataflow, vectorize=False)
-        for kwargs in (
-            {"kernel_backend": "numpy"},
-            {"kernel_backend": "compiled"},
-            {"kernel_backend": "compiled", "max_table_bytes": 40_000},
-        ):
-            columnar = trace_dataflow(dataflow, vectorize=True, **kwargs)
+        for max_table_bytes in (None, 40_000):
+            columnar = trace_dataflow(
+                dataflow, vectorize=True, max_table_bytes=max_table_bytes
+            )
             assert_trace_reports_identical(scalar, columnar)
 
     @given(dataflow=sim_dataflows())
@@ -277,13 +206,9 @@ class TestSimulatorBackendIdentity:
     def test_pipeline_report_identical(self, dataflow):
         arch = morph()
         scalar = simulate_pipeline(dataflow, arch, vectorize=False)
-        for kwargs in (
-            {"kernel_backend": "numpy"},
-            {"kernel_backend": "compiled"},
-            {"kernel_backend": "compiled", "max_table_bytes": 60_000},
-        ):
+        for max_table_bytes in (None, 60_000):
             columnar = simulate_pipeline(
-                dataflow, arch, vectorize=True, **kwargs
+                dataflow, arch, vectorize=True, max_table_bytes=max_table_bytes
             )
             # Frozen dataclass ==: every field, float cycles included.
             assert scalar == columnar
@@ -331,6 +256,19 @@ class TestChunkedEvaluation:
             full_scores, batch.scores(objective, max_table_bytes=cap)
         )
         assert full_best == batch.best(objective, max_table_bytes=cap)
+        # The first-min winner of the chunked sweep is argmin of the
+        # full score column, and that column matches the scalar oracle.
+        assert full_best[0] == int(np.argmin(full_scores))
+        assert full_best[2] == int(np.isfinite(full_scores).sum())
+        for i in range(len(batch)):
+            try:
+                expected = OBJECTIVES[objective](
+                    evaluate(batch.dataflow(i), batch.arch)
+                )
+            except CapacityError:
+                assert math.isinf(full_scores[i]), i
+                continue
+            assert full_scores[i] == expected, i
 
     def _uniform_batch(self, copies: int) -> CandidateBatch:
         """``copies`` identical candidate rows — every score ties."""
@@ -370,9 +308,9 @@ class TestChunkedEvaluation:
         with pytest.raises(ValueError, match="smaller than a single table row"):
             batch.scores("energy", max_table_bytes=1)
         with pytest.raises(ValueError, match="smaller than a single table row"):
-            kb.plan_chunk_rows(row_bytes=64, max_table_bytes=63)
+            batch_mod.plan_chunk_rows(row_bytes=64, max_table_bytes=63)
         with pytest.raises(ValueError, match="row_bytes must be positive"):
-            kb.plan_chunk_rows(row_bytes=0, max_table_bytes=1024)
+            batch_mod.plan_chunk_rows(row_bytes=0, max_table_bytes=1024)
 
     def test_chunks_respect_the_byte_cap(self, monkeypatch):
         """Allocation tracking: every streamed slice stays under the cap
@@ -385,9 +323,9 @@ class TestChunkedEvaluation:
         slices: list[int] = []
         original = CandidateBatch._scores_slice
 
-        def tracking(self, objective, sl, backend):
+        def tracking(self, objective, sl):
             slices.append(sl.stop - sl.start)
-            return original(self, objective, sl, backend)
+            return original(self, objective, sl)
 
         monkeypatch.setattr(CandidateBatch, "_scores_slice", tracking)
         chunked = batch.scores("energy", max_table_bytes=cap)
@@ -401,109 +339,25 @@ class TestChunkedEvaluation:
         assert np.array_equal(full, chunked)
 
     def test_plan_chunk_rows_memoized(self):
-        rows = kb.plan_chunk_rows(100, 1000)
+        rows = batch_mod.plan_chunk_rows(100, 1000)
         assert rows == 10
-        assert kb._CHUNK_PLANS[(100, 1000)] == 10
-        assert kb.plan_chunk_rows(100, 1000) == 10
+        assert batch_mod._CHUNK_PLANS[(100, 1000)] == 10
+        assert batch_mod.plan_chunk_rows(100, 1000) == 10
 
-
-# ----------------------------------------------------------------------
-# Backend registry and fallback mechanics
-# ----------------------------------------------------------------------
-class TestBackendRegistry:
-    def test_registry_names(self):
-        assert kb.backend_names() == ("compiled", "numpy")
-        assert kb.check_backend_name("numpy") == "numpy"
-        with pytest.raises(ValueError, match="unknown kernel backend 'cuda'"):
-            kb.check_backend_name("cuda")
-
-    def test_numpy_backend_is_identity(self):
-        def toy_kernel(x):
-            return x + 1
-
-        backend = kb.KERNEL_BACKENDS["numpy"]
-        assert backend.kernel_impl(toy_kernel) is toy_kernel
-
-    def test_unavailable_backend_serves_the_original(self):
-        """An unavailable substrate silently degrades to the pure kernel
-        — the contract that makes ``compiled`` safe without numba."""
-
-        def toy_kernel(x):
-            return x * 2
-
-        backend = kb.KernelBackend(
-            name="phantom",
-            available=lambda: False,
-            lower=lambda fn: pytest.fail("lower must not run"),
-        )
-        assert backend.kernel_impl(toy_kernel) is toy_kernel
-
-    def test_compiled_backend_never_raises_without_numba(self):
-        if kb.compiled_available():
-            pytest.skip("numba installed: fallback path not reachable")
-
-        def toy_kernel(x):
-            return x + 3
-
-        backend = kb.KERNEL_BACKENDS["compiled"]
-        impl = backend.kernel_impl(toy_kernel)
-        assert impl is toy_kernel  # identity fallback, no wrapper overhead
-
-    def test_guarded_kernel_falls_back_on_failure(self):
-        calls = {"jitted": 0}
-
-        def kernel(x):
-            return x + 10
-
-        def exploding(x):
-            calls["jitted"] += 1
-            raise RuntimeError("typing failed at first call")
-
-        guarded = kb._GuardedKernel(kernel, exploding)
-        assert guarded(1) == 11  # falls back, result from the oracle
-        assert guarded.failed
-        assert guarded(2) == 12
-        assert calls["jitted"] == 1  # never retried after the failure
-
-    def test_resolve_defaults_to_numpy(self):
-        assert kb.resolve_kernel_backend(None).name == "numpy"
-        assert kb.resolve_kernel_backend("compiled").name == "compiled"
-        assert kb.resolve_max_table_bytes(None) is None
-        assert kb.resolve_max_table_bytes(4096) == 4096
+    def test_resolve_max_table_bytes(self):
+        assert batch_mod.resolve_max_table_bytes(None) is None
+        assert batch_mod.resolve_max_table_bytes(4096) == 4096
         with pytest.raises(ValueError, match="positive byte count"):
-            kb.resolve_max_table_bytes(0)
+            batch_mod.resolve_max_table_bytes(0)
 
 
 class TestClearCache:
-    def test_clear_cache_resets_backend_memos(self):
-        """``repro.clear_cache()`` empties the dispatch memos and chunk
-        plans, so a reconfigured process re-lowers from scratch."""
-
-        def probe_kernel(x):
-            return x - 1
-
-        kb.compiled_available()          # populates the import memo
-        kb._lower_compiled(probe_kernel)  # populates the dispatch memo
-        kb.plan_chunk_rows(128, 4096)     # populates the chunk plans
-        assert kb._NUMBA_MODULE
-        assert kb._COMPILED_MEMO
-        assert kb._CHUNK_PLANS
-
+    def test_clear_cache_resets_chunk_plans(self):
+        """``repro.clear_cache()`` empties the chunk-plan memo."""
+        batch_mod.plan_chunk_rows(128, 4096)
+        assert batch_mod._CHUNK_PLANS
         repro.clear_cache()
-        assert not kb._NUMBA_MODULE
-        assert not kb._COMPILED_MEMO
-        assert not kb._JIT_SUPPORT
-        assert not kb._CHUNK_PLANS
-
-    def test_lowering_is_memoized_per_kernel(self):
-        def probe_kernel(x):
-            return x * 3
-
-        kb.clear_backend_caches()
-        first = kb._lower_compiled(probe_kernel)
-        second = kb._lower_compiled(probe_kernel)
-        assert first is second
-        assert len(kb._COMPILED_MEMO) == 1
+        assert not batch_mod._CHUNK_PLANS
 
 
 # ----------------------------------------------------------------------
@@ -511,19 +365,14 @@ class TestClearCache:
 # ----------------------------------------------------------------------
 class TestKnobPlumbing:
     def test_options_validate(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            OptimizerOptions(kernel_backend="cuda")
         with pytest.raises(ValueError, match="max_table_bytes"):
             OptimizerOptions(max_table_bytes=0)
-        options = OptimizerOptions(
-            kernel_backend="compiled", max_table_bytes=1 << 20
-        )
-        assert options.kernel_backend == "compiled"
+        options = OptimizerOptions(max_table_bytes=1 << 20)
         assert options.max_table_bytes == 1 << 20
 
     def test_signature_excludes_speed_knobs(self):
-        """Backend and cap are pure speed knobs: bit-identical results,
-        so cached configurations stay valid across them."""
+        """The cap is a pure speed knob: bit-identical results, so cached
+        configurations stay valid across it."""
         from repro.optimizer.engine import search_signature
 
         layer = ConvLayer("sig", h=8, w=8, c=4, f=2, k=8, r=3, s=3, t=1,
@@ -531,8 +380,7 @@ class TestKnobPlumbing:
         arch = morph()
         plain = search_signature(layer, arch, OptimizerOptions())
         knobbed = search_signature(
-            layer, arch,
-            OptimizerOptions(kernel_backend="compiled", max_table_bytes=1 << 16),
+            layer, arch, OptimizerOptions(max_table_bytes=1 << 16)
         )
         assert plain == knobbed
 
@@ -540,19 +388,12 @@ class TestKnobPlumbing:
         from repro.api import SessionConfig
 
         assert SessionConfig(max_table_bytes="65536").max_table_bytes == 65536
-        assert SessionConfig(kernel_backend="compiled").kernel_backend == (
-            "compiled"
-        )
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            SessionConfig(kernel_backend="cuda")
         with pytest.raises(ValueError, match="max_table_bytes"):
             SessionConfig(max_table_bytes=0)
 
     @pytest.mark.parametrize(
         ("variable", "value", "match"),
         [
-            ("REPRO_KERNEL_BACKEND", "cuda",
-             r"REPRO_KERNEL_BACKEND must be one of compiled, numpy, got 'cuda'"),
             ("REPRO_MAX_TABLE_BYTES", "lots",
              r"REPRO_MAX_TABLE_BYTES must be an integer byte count, got 'lots'"),
             ("REPRO_MAX_TABLE_BYTES", "0",
@@ -564,19 +405,11 @@ class TestKnobPlumbing:
     def test_env_bad_value_raises_naming_it(
         self, monkeypatch, variable, value, match
     ):
-        from repro.optimizer.engine import (
-            default_kernel_backend,
-            default_max_table_bytes,
-        )
+        from repro.optimizer.engine import default_max_table_bytes
 
-        resolver = (
-            default_kernel_backend
-            if variable == "REPRO_KERNEL_BACKEND"
-            else default_max_table_bytes
-        )
         monkeypatch.setenv(variable, value)
         with pytest.raises(ValueError, match=match):
-            resolver()
+            default_max_table_bytes()
 
     def test_env_bad_value_fails_session_materialisation(self, monkeypatch):
         from repro.api import SessionConfig
@@ -586,54 +419,33 @@ class TestKnobPlumbing:
             ValueError, match=r"REPRO_MAX_TABLE_BYTES could not be parsed"
         ):
             SessionConfig.from_env()
-        monkeypatch.delenv("REPRO_MAX_TABLE_BYTES")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="unknown kernel backend 'cuda'"):
-            SessionConfig.from_env()
 
     def test_env_good_values_parse(self, monkeypatch):
         from repro.api import SessionConfig
-        from repro.optimizer.engine import (
-            default_kernel_backend,
-            default_max_table_bytes,
-        )
+        from repro.optimizer.engine import default_max_table_bytes
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "Compiled")
         monkeypatch.setenv("REPRO_MAX_TABLE_BYTES", "65536")
-        assert default_kernel_backend() == "compiled"
         assert default_max_table_bytes() == 65536
-        config = SessionConfig.from_env()
-        assert config.kernel_backend == "compiled"
-        assert config.max_table_bytes == 65536
+        assert SessionConfig.from_env().max_table_bytes == 65536
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
         monkeypatch.setenv("REPRO_MAX_TABLE_BYTES", " ")
-        assert default_kernel_backend() == "numpy"  # empty means unset
-        assert default_max_table_bytes() is None
-        config = SessionConfig.from_env()
-        assert config.kernel_backend is None
-        assert config.max_table_bytes is None
+        assert default_max_table_bytes() is None  # blank means unset
+        assert SessionConfig.from_env().max_table_bytes is None
 
     def test_session_scopes_the_knobs(self):
-        """An active session's knobs reach the resolvers — and
-        evaporate when the session closes."""
+        """An active session's cap reaches the resolvers — and
+        evaporates when the session closes."""
         from repro.api import Session, SessionConfig
-        from repro.optimizer.engine import (
-            default_kernel_backend,
-            default_max_table_bytes,
-        )
+        from repro.optimizer.engine import default_max_table_bytes
 
-        config = SessionConfig(kernel_backend="compiled", max_table_bytes=8192)
-        with Session(config):
-            assert default_kernel_backend() == "compiled"
+        with Session(SessionConfig(max_table_bytes=8192)):
             assert default_max_table_bytes() == 8192
-            assert kb.resolve_kernel_backend(None).name == "compiled"
-            assert kb.resolve_max_table_bytes(None) == 8192
-        assert default_kernel_backend() == "numpy"
+            assert batch_mod.resolve_max_table_bytes(None) == 8192
         assert default_max_table_bytes() is None
+        assert batch_mod.resolve_max_table_bytes(None) is None
 
     def test_engine_end_to_end_identical(self):
-        """optimize_layer with both knobs == the plain run, bit for bit."""
+        """optimize_layer under a cap == the plain run, bit for bit."""
         from repro.optimizer.engine import optimize_layer
 
         layer = ConvLayer(
@@ -646,7 +458,7 @@ class TestKnobPlumbing:
         )
         knobbed = optimize_layer(
             layer, arch, SMALL_OPTIONS, use_cache=False, vectorize=True,
-            kernel_backend="compiled", max_table_bytes=100_000,
+            max_table_bytes=100_000,
         )
         assert knobbed.best.dataflow == base.best.dataflow
         assert knobbed.score == base.score

@@ -26,7 +26,6 @@ from repro.optimizer.engine import (
     OptimizerEngine,
     default_parallelism_mode,
     optimize_layer,
-    reset_engine_defaults,
     search_signature,
     signature_key,
 )
@@ -48,10 +47,8 @@ LAYER_B = ConvLayer("race-b", h=7, w=7, c=32, f=4, k=32, r=3, s=3, t=3,
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_cache()
-    reset_engine_defaults()
     yield
     clear_cache()
-    reset_engine_defaults()
 
 
 # ----------------------------------------------------------------------

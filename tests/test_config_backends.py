@@ -28,9 +28,8 @@ from repro.optimizer.config_store import (
 )
 from repro.optimizer.engine import (
     OptimizerEngine,
-    reset_engine_defaults,
+    default_cache_backend,
     search_signature,
-    set_engine_defaults,
     signature_key,
 )
 from repro.optimizer.search import OptimizerOptions, clear_cache
@@ -58,11 +57,9 @@ def make_store(backend: str, tmp_path) -> ConfigStore:
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_cache()
-    reset_engine_defaults()
     clear_memory_stores()
     yield
     clear_cache()
-    reset_engine_defaults()
     clear_memory_stores()
 
 
@@ -402,10 +399,14 @@ class TestBackendSelection:
         engine.optimize_layers((LAYER,))
         assert list(tmp_path.glob("[0-9a-f]*/[0-9a-f]*/*.json"))
 
-    def test_engine_defaults_validate_backend(self):
-        with pytest.raises(ValueError, match="cache_backend"), \
-                pytest.deprecated_call():
-            set_engine_defaults(cache_backend="bogus")
+    def test_engine_defaults_validate_backend(self, monkeypatch):
+        from repro.api import SessionConfig
+
+        with pytest.raises(ValueError, match="cache_backend"):
+            SessionConfig(cache_backend="bogus")
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "bogus")
+        with pytest.raises(ValueError, match="cache_backend"):
+            default_cache_backend()
 
     def test_sharded_and_local_recall_each_others_misses(
         self, morph_arch, tmp_path

@@ -11,9 +11,7 @@ from repro.optimizer.engine import (
     clear_memory_caches,
     default_parallelism,
     optimize_layer,
-    reset_engine_defaults,
     search_signature,
-    set_engine_defaults,
     signature_key,
 )
 from repro.optimizer.search import (
@@ -40,10 +38,8 @@ NETWORK = (LAYER_A, LAYER_B, LAYER_A2)
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_cache()
-    reset_engine_defaults()
     yield
     clear_cache()
-    reset_engine_defaults()
 
 
 class TestObjectiveScoring:
@@ -361,10 +357,10 @@ class TestClearCacheMemos:
 
 class TestEngineDefaults:
     def test_set_and_reset(self):
-        with pytest.deprecated_call():
-            set_engine_defaults(parallelism=7)
-        assert default_parallelism() == 7
-        reset_engine_defaults()
+        from repro.api import Session, SessionConfig
+
+        with Session(SessionConfig(parallelism=7)):
+            assert default_parallelism() == 7
         assert default_parallelism() == 1
 
     def test_env_parallelism(self, monkeypatch):
@@ -437,7 +433,6 @@ class TestEnvResolverErrors:
             ("REPRO_USE_CACHE", "flase", "default_use_cache"),
             ("REPRO_USE_CACHE", "2", "default_use_cache"),
             ("REPRO_VECTORIZE", "si", "default_vectorize"),
-            ("REPRO_SEARCH_ORDER", "bestest", "default_search_order"),
         ],
     )
     def test_bad_value_raises_naming_the_variable(
@@ -471,7 +466,6 @@ class TestEnvResolverErrors:
             ),
             ("REPRO_USE_CACHE", "off", "default_use_cache", False),
             ("REPRO_VECTORIZE", "Yes", "default_vectorize", True),
-            ("REPRO_SEARCH_ORDER", "legacy", "default_search_order", "legacy"),
         ],
     )
     def test_good_value_parses(

@@ -2,7 +2,7 @@
 backpressure, deadline SLOs, bit-identity and clean shutdown.
 
 The deterministic levers: the injectable serve clock
-(:mod:`repro.serve.clock`) freezes quota refill and deadline mapping; a
+(:func:`repro.serve.use_clock`) freezes quota refill and deadline mapping; a
 gate network (an object whose ``layers`` property blocks on an event)
 pins requests in-flight for backpressure/shutdown tests; and the
 optimizer's in-flight table is exercised directly (claim/join/publish)
@@ -28,7 +28,6 @@ from repro.optimizer.engine import (
     _inflight_publish,
     _search_one,
     inflight_searches,
-    reset_engine_defaults,
     search_signature,
     signature_key,
 )
@@ -57,10 +56,8 @@ LAYER_B = ConvLayer("serve-b", h=7, w=7, c=32, f=4, k=32, r=3, s=3, t=3,
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_cache()
-    reset_engine_defaults()
     yield
     clear_cache()
-    reset_engine_defaults()
 
 
 def run(coro):

@@ -226,10 +226,8 @@ class TestVectorizeKnob:
     """The sim knob follows the engine default and REPRO_VECTORIZE."""
 
     def test_env_escape_hatch(self, monkeypatch):
-        from repro.optimizer import engine
         from repro.sim.trace import _resolve_vectorize
 
-        engine.reset_engine_defaults()
         monkeypatch.setenv("REPRO_VECTORIZE", "0")
         assert _resolve_vectorize(None) is False
         monkeypatch.setenv("REPRO_VECTORIZE", "1")
@@ -240,15 +238,12 @@ class TestVectorizeKnob:
         assert _resolve_vectorize(False) is False
 
     def test_engine_defaults_respected(self):
-        from repro.optimizer import engine
+        from repro.api import Session, SessionConfig
         from repro.sim.trace import _resolve_vectorize
 
-        try:
-            with pytest.deprecated_call():
-                engine.set_engine_defaults(vectorize=False)
+        with Session(SessionConfig(vectorize=False)):
             assert _resolve_vectorize(None) is False
-        finally:
-            engine.reset_engine_defaults()
+        assert _resolve_vectorize(None) is True
 
     def test_default_runs_columnar_identically(self, small_layer):
         dataflow = Dataflow(
