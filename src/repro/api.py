@@ -67,7 +67,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -89,6 +88,7 @@ from repro.optimizer.search import (
     NetworkResult,
     OptimizerOptions,
 )
+from repro.workloads.networks import _parse_frames
 
 __all__ = [
     "Session",
@@ -100,26 +100,25 @@ __all__ = [
 ]
 
 
-def _clamped_positive_int(text: str) -> int:
-    # Clamp like the legacy env parsing (default_parallelism,
-    # build_network's REPRO_FRAMES): 0 means "minimum", not an error.
-    return max(1, int(text))
-
-
 #: ``$REPRO_*`` variable -> (config field, parser).  This is the single
-#: source of truth for :meth:`SessionConfig.from_env`.
+#: source of truth for :meth:`SessionConfig.from_env`; each parser is the
+#: one its ``default_*`` resolver uses, so both raise the same message.
 _ENV_FIELDS: dict[str, tuple[str, Any]] = {
-    "REPRO_PARALLELISM": ("parallelism", _clamped_positive_int),
-    "REPRO_PARALLELISM_MODE": ("parallelism_mode", str.lower),
+    "REPRO_PARALLELISM": ("parallelism", _engine._parse_parallelism),
+    "REPRO_PARALLELISM_MODE": (
+        "parallelism_mode", _engine._parse_parallelism_mode
+    ),
     "REPRO_CACHE_DIR": ("cache_dir", Path),
-    "REPRO_CACHE_BACKEND": ("cache_backend", str.lower),
-    "REPRO_USE_CACHE": ("use_cache", _scope.parse_bool),
-    "REPRO_VECTORIZE": ("vectorize", _scope.parse_bool),
-    "REPRO_BUDGET_MS": ("budget_ms", float),
-    "REPRO_MAX_TABLE_BYTES": ("max_table_bytes", int),
-    "REPRO_FRAMES": ("frames", _clamped_positive_int),
+    "REPRO_CACHE_BACKEND": ("cache_backend", _engine._parse_cache_backend),
+    "REPRO_USE_CACHE": ("use_cache", _engine._parse_use_cache),
+    "REPRO_VECTORIZE": ("vectorize", _engine._parse_vectorize),
+    "REPRO_BUDGET_MS": ("budget_ms", _engine._parse_budget_ms),
+    "REPRO_MAX_TABLE_BYTES": ("max_table_bytes", _engine._parse_max_table_bytes),
+    "REPRO_FRAMES": ("frames", _parse_frames),
     "REPRO_BENCH_DIR": ("bench_dir", Path),
-    "REPRO_MANIFEST_COMPACT_RATIO": ("manifest_compact_ratio", float),
+    "REPRO_MANIFEST_COMPACT_RATIO": (
+        "manifest_compact_ratio", _engine._parse_manifest_compact_ratio
+    ),
 }
 
 #: SessionConfig fields deliberately *not* materialisable from the
@@ -244,20 +243,14 @@ class SessionConfig:
         """Materialise the ``$REPRO_*`` environment variables as a config.
 
         Unset (or empty) variables leave their field ``None``; parse
-        failures raise ``ValueError`` naming the variable.
+        failures raise the ``ValueError`` the variable's ``default_*``
+        resolver raises, naming the variable and the value.
         """
-        environ = os.environ if environ is None else environ
         values: dict[str, Any] = {}
         for variable, (field, parse) in _ENV_FIELDS.items():
-            raw = environ.get(variable)
-            if raw is None or raw.strip() == "":
-                continue
-            try:
-                values[field] = parse(raw.strip())
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{variable} could not be parsed: {raw!r}"
-                ) from None
+            value = _engine._env_value(variable, parse, environ)
+            if value is not None:
+                values[field] = value
         return cls(**values)
 
     @classmethod

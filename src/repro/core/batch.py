@@ -93,7 +93,6 @@ available = np is not None
 
 #: Column index of each tiled dim (W, H, C, K, F order, as ALL_DIMS).
 DIM_INDEX: dict[Dim, int] = {dim: i for i, dim in enumerate(ALL_DIMS)}
-_SLIDING = (Dim.W, Dim.H, Dim.F)
 _PAR_DIMS = (Dim.W, Dim.H, Dim.K, Dim.F)
 
 #: Working-set estimate for chunk planning: intermediate columns the
@@ -259,12 +258,11 @@ def tile_bytes_columns(
     layer: ConvLayer, precision: Precision, tiles: "np.ndarray"
 ) -> dict[DataType, "np.ndarray"]:
     """Per-data-type byte footprints of tile columns ``tiles`` ((5, N))."""
-    w, h, c, k, f = (tiles[DIM_INDEX[d]] for d in ALL_DIMS)
-    spans = {dim: kernel_and_stride(layer, dim) for dim in _SLIDING}
+    w, h, c, k, f = tiles  # rows in ALL_DIMS order
     input_elems = (
-        input_extent_kernel(w, *spans[Dim.W])
-        * input_extent_kernel(h, *spans[Dim.H])
-        * input_extent_kernel(f, *spans[Dim.F])
+        input_extent_kernel(w, *kernel_and_stride(layer, Dim.W))
+        * input_extent_kernel(h, *kernel_and_stride(layer, Dim.H))
+        * input_extent_kernel(f, *kernel_and_stride(layer, Dim.F))
         * c
     )
     weight_elems = k * c * (layer.r * layer.s * layer.t)
@@ -449,13 +447,16 @@ def boundary_fill_bytes_sum(
     precision: Precision,
     parent: "np.ndarray",  #: (5,) or (5, N) parent extents
     child: "np.ndarray",  #: (5, N) child tile extents
-    order: LoopOrder,
+    orders: LoopOrder | tuple[LoopOrder, ...],
+    order_index: "np.ndarray | None" = None,  #: (N,) row -> index into orders
 ) -> "np.ndarray":
     """Summed per-execution fill bytes across the three data types.
 
     Columnar counterpart of summing ``boundary_fill_profile`` byte entries
-    — the denominator of the allocator's ``f_reuse`` score — for many child
-    tiles under one parent and one loop order.
+    — the denominator of the allocator's ``f_reuse`` score — for many
+    (parent, child) rows.  ``orders`` is one loop order for every row, or
+    a tuple of orders with ``order_index`` naming each row's; either way
+    a row's bytes equal the single-order call's bit for bit.
     """
     _require_numpy()
     child = np.asarray(child, dtype=np.int64)
@@ -464,9 +465,11 @@ def boundary_fill_bytes_sum(
         np.asarray(parent, dtype=np.int64).reshape(5, -1), (5, n)
     )
     trips = ceil_div(parent, child)
-    dim_tbl, pos_tbl = _order_tables((order,))
-    dim_at = np.broadcast_to(dim_tbl[0], (n, 5))
-    pos_of = np.broadcast_to(pos_tbl[0], (n, 5))
+    if order_index is None:
+        orders, order_index = (orders,), np.zeros(n, dtype=np.intp)
+    dim_tbl, pos_tbl = _order_tables(tuple(orders))
+    dim_at = dim_tbl[order_index]
+    pos_of = pos_tbl[order_index]
     profile = _boundary_fill_columns(
         layer, precision, parent, child, trips, trips, dim_at, pos_of
     )

@@ -12,13 +12,16 @@ maximum, which we extend with geometric midpoints and a greedy
 infeasible still allocate well.
 
 There is one halving-ladder loop (:func:`candidate_sub_tiles`) and one
-beam loop (:func:`allocate_hierarchy`).  Each takes its scoring and
-fitting from a hook chosen by ``vectorize``: the scalar hook calls the
-reference kernels (:func:`f_reuse`, ``_footprint_gradient``,
-``AcceleratorConfig.tile_fits``) per tile, and the columnar hook answers
-the same questions with batched NumPy passes (bit-identical scores and
-masks).  NumPy is imported only inside the columnar hook, so the scalar
-path runs without it.
+beam loop (:func:`allocate_hierarchy`).  The beam loop is level-synchronous
+over a tuple of inner loop orders: candidate generation does not depend
+on the order, so each level gathers the candidates of every surviving
+order's beams once and scores all (order, parent, child) rows in one
+call.  Scoring and fitting come from a hook chosen by ``vectorize``: the
+scalar hook calls the reference kernels (:func:`f_reuse`,
+``_footprint_gradient``, ``AcceleratorConfig.tile_fits``) per tile, and
+the columnar hook answers the same questions with batched NumPy passes
+(bit-identical scores and masks).  NumPy is imported only inside the
+columnar hook, so the scalar path runs without it.
 """
 
 from __future__ import annotations
@@ -57,38 +60,33 @@ def _mid(lo: int, hi: int) -> int:
     return max(lo, min(hi, round(math.sqrt(lo * hi))))
 
 
+def _extents(tile: TileShape) -> tuple[int, int, int, int, int]:
+    """A tile's extents by position (ALL_DIMS order)."""
+    return (tile.w, tile.h, tile.c, tile.k, tile.f)
+
+
 def _seed_candidates(
     parent: TileShape, cap: TileShape | None
-) -> tuple[dict[Dim, tuple[int, int]], set[tuple[int, ...]]]:
-    """Per-dim (min, max) bounds plus the corner/midpoint candidate seed.
+) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
+    """Per-position maximum extents plus the corner/midpoint candidate seed.
 
     Its insertion sequence, extended only by the halving ladder of
     :func:`candidate_sub_tiles`, fixes the set's iteration order and so
     the downstream tie-break order; both allocator hooks see the same
     sequence because the ladder loop itself is shared.
     """
-    dims = list(ALL_DIMS)
-    bounds = {
-        dim: (
-            1,
-            min(parent.extent(dim), cap.extent(dim) if cap else parent.extent(dim)),
-        )
-        for dim in dims
-    }
-    candidates: set[tuple[int, ...]] = set()
-
-    # 2^D corners (Section V-C).
-    for mask in itertools.product((0, 1), repeat=len(dims)):
-        candidates.add(tuple(bounds[dim][bit] for dim, bit in zip(dims, mask)))
+    upper = _extents(parent)
+    if cap is not None:
+        upper = tuple(map(min, upper, _extents(cap)))
+    # 2^D corners (Section V-C), each dim at its minimum 1 or its maximum.
+    candidates = set(itertools.product(*((1, hi) for hi in upper)))
 
     # Geometric midpoints: all-mid, and each dim at max with others mid.
-    mid = tuple(_mid(*bounds[dim]) for dim in dims)
+    mid = tuple(_mid(1, hi) for hi in upper)
     candidates.add(mid)
-    for i, dim in enumerate(dims):
-        boosted = list(mid)
-        boosted[i] = bounds[dim][1]
-        candidates.add(tuple(boosted))
-    return bounds, candidates
+    for i, hi in enumerate(upper):
+        candidates.add(mid[:i] + (hi,) + mid[i + 1:])
+    return upper, candidates
 
 
 def _tile_columns(tiles: list[TileShape]):
@@ -107,28 +105,16 @@ def _tile_columns(tiles: list[TileShape]):
     )
 
 
-def _f_reuse_scores(
-    layer: ConvLayer,
-    parents: list[TileShape],
-    children: list[TileShape],
-    inner_order: LoopOrder,
-    arch: AcceleratorConfig,
-):
-    """Columnar :func:`f_reuse` over many (parent, child) pairs.
+class _Candidates:
+    """The feasible sub-tiles of one ``(level, parent, cap)``: a
+    candidate-memo entry.  ``columns`` holds their (5, N) columns once the
+    columnar hook has built them, so each entry is lowered at most once."""
 
-    Same equations through :func:`repro.core.batch.boundary_fill_bytes_sum`;
-    scores are bit-identical to calling :func:`f_reuse` per pair.
-    """
-    import numpy as np
+    __slots__ = ("tiles", "columns")
 
-    from repro.core.batch import boundary_fill_bytes_sum
-
-    maccs = np.array([p.maccs(layer) for p in parents], dtype=np.int64)
-    fill_bytes = boundary_fill_bytes_sum(
-        layer, arch.precision, _tile_columns(parents), _tile_columns(children),
-        inner_order,
-    )
-    return maccs / np.maximum(fill_bytes, 1)
+    def __init__(self, tiles: list[TileShape], columns=None) -> None:
+        self.tiles = tiles
+        self.columns = columns
 
 
 def _footprint_gradient(
@@ -150,10 +136,13 @@ class _ScalarHooks:
     """Per-tile scoring and fitting: the reference kernels."""
 
     @staticmethod
-    def scores(layer, parents, children, inner_order, arch) -> list[float]:
+    def scores(layer, arch, orders, segments) -> list[float]:
+        """``f_reuse`` of every row; ``segments`` lists ``(order index,
+        parent, candidates)``, each contributing one row per candidate."""
         return [
-            f_reuse(layer, parent, child, inner_order, arch)
-            for parent, child in zip(parents, children)
+            f_reuse(layer, parent, child, orders[o], arch)
+            for o, parent, entry in segments
+            for child in entry.tiles
         ]
 
     @staticmethod
@@ -165,14 +154,51 @@ class _ScalarHooks:
         )
 
     @staticmethod
-    def fits(layer, arch, level_index: int, tiles: list[TileShape]) -> list[bool]:
-        return [arch.tile_fits(level_index, layer, tile) for tile in tiles]
+    def feasible(layer, arch, level_index: int, tiles: list[TileShape]):
+        return _Candidates(
+            [tile for tile in tiles if arch.tile_fits(level_index, layer, tile)]
+        )
 
 
 class _ColumnarHooks:
     """The same answers from batched NumPy passes over many tiles."""
 
-    scores = staticmethod(_f_reuse_scores)
+    @staticmethod
+    def scores(layer, arch, orders, segments) -> list[float]:
+        """Columnar ``f_reuse`` over all rows of ``segments`` at once.
+
+        Same equations through
+        :func:`repro.core.batch.boundary_fill_bytes_sum`, each row under
+        its own order; the Python floats returned are bit-identical to
+        calling :func:`f_reuse` per row.
+        """
+        import numpy as np
+
+        from repro.core.batch import boundary_fill_bytes_sum
+
+        counts = []
+        children = []
+        for _, _, entry in segments:
+            if entry.columns is None:
+                entry.columns = _tile_columns(entry.tiles)
+            counts.append(len(entry.tiles))
+            children.append(entry.columns)
+        parents = np.repeat(
+            np.array(
+                [_extents(parent) for _, parent, _ in segments], dtype=np.int64
+            ).T,
+            counts,
+            axis=1,
+        )
+        order_index = np.repeat(
+            np.array([o for o, _, _ in segments], dtype=np.intp), counts
+        )
+        maccs = parents.prod(axis=0) * (layer.r * layer.s * layer.t)
+        fill_bytes = boundary_fill_bytes_sum(
+            layer, arch.precision, parents, np.concatenate(children, axis=1),
+            orders, order_index,
+        )
+        return (maccs / np.maximum(fill_bytes, 1)).tolist()
 
     @staticmethod
     def heaviest(layer, arch, extents: list[int]) -> int:
@@ -195,10 +221,15 @@ class _ColumnarHooks:
         return int(np.argmax(gradients))  # first max, like max()
 
     @staticmethod
-    def fits(layer, arch, level_index: int, tiles: list[TileShape]):
+    def feasible(layer, arch, level_index: int, tiles: list[TileShape]):
         from repro.core.batch import tile_fits_mask
 
-        return tile_fits_mask(arch, level_index, layer, _tile_columns(tiles))
+        columns = _tile_columns(tiles)
+        fits = tile_fits_mask(arch, level_index, layer, columns)
+        return _Candidates(
+            [tile for tile, ok in zip(tiles, fits.tolist()) if ok],
+            columns[:, fits],
+        )
 
 
 def _hooks(vectorize: bool):
@@ -208,6 +239,41 @@ def _hooks(vectorize: bool):
 def _ranked(indices, scores) -> list[int]:
     """``indices`` by descending score; ties keep their given order."""
     return sorted(indices, key=scores.__getitem__, reverse=True)
+
+
+def _candidates(
+    layer: ConvLayer,
+    arch: AcceleratorConfig,
+    level_index: int,
+    parent: TileShape,
+    cap: TileShape | None,
+    hooks,
+    memo: dict | None,
+) -> _Candidates:
+    """The candidate-memo entry of :func:`candidate_sub_tiles`."""
+    key = (level_index, parent, cap)
+    if memo is not None and key in memo:
+        return memo[key]
+    upper, candidates = _seed_candidates(parent, cap)
+
+    # Halving ladder: from the largest allowed shape, repeatedly halve the
+    # dimension contributing most footprint until the tile fits.
+    current = list(upper)
+    for _ in range(40):
+        candidates.add(tuple(current))
+        if arch.tile_fits(level_index, layer, TileShape(*current)):
+            break
+        heaviest = hooks.heaviest(layer, arch, current)
+        if current[heaviest] == 1:
+            break
+        current[heaviest] = math.ceil(current[heaviest] / 2)
+
+    entry = hooks.feasible(
+        layer, arch, level_index, [TileShape(*extents) for extents in candidates]
+    )
+    if memo is not None:
+        memo[key] = entry
+    return entry
 
 
 def candidate_sub_tiles(
@@ -230,33 +296,12 @@ def candidate_sub_tiles(
     ``vectorize=True`` computes the ladder's footprint gradients and the
     final capacity filter in columnar passes (same candidates, same
     order).  Since the result depends only on ``(level_index, parent,
-    cap)``, an optional ``memo`` dict shares it across the inner-order
-    loop of a search.
+    cap)``, an optional ``memo`` dict shares it across the blocks of a
+    search.
     """
-    key = (level_index, parent, cap)
-    if memo is not None and key in memo:
-        return memo[key]
-    hooks = _hooks(vectorize)
-    bounds, candidates = _seed_candidates(parent, cap)
-
-    # Halving ladder: from the largest allowed shape, repeatedly halve the
-    # dimension contributing most footprint until the tile fits.
-    current = [bounds[dim][1] for dim in ALL_DIMS]
-    for _ in range(40):
-        candidates.add(tuple(current))
-        if arch.tile_fits(level_index, layer, TileShape(*current)):
-            break
-        heaviest = hooks.heaviest(layer, arch, current)
-        if current[heaviest] == 1:
-            break
-        current[heaviest] = math.ceil(current[heaviest] / 2)
-
-    tiles = [TileShape(*extents) for extents in candidates]
-    fits = hooks.fits(layer, arch, level_index, tiles)
-    feasible = [tile for tile, ok in zip(tiles, fits) if ok]
-    if memo is not None:
-        memo[key] = feasible
-    return feasible
+    return _candidates(
+        layer, arch, level_index, parent, cap, _hooks(vectorize), memo
+    ).tiles
 
 
 def allocate_level(
@@ -277,18 +322,15 @@ def allocate_level(
     boundary-traffic evaluation; scores (and therefore the stable
     descending order) are identical to the per-tile path.
     """
-    feasible = candidate_sub_tiles(
-        layer, arch, level_index, parent, cap=cap, vectorize=vectorize,
-        memo=memo,
-    )
+    hooks = _hooks(vectorize)
+    entry = _candidates(layer, arch, level_index, parent, cap, hooks, memo)
+    feasible = entry.tiles
     if not feasible:
         raise ValueError(
             f"no feasible sub-tile at level {level_index} of {arch.name} "
             f"for {layer.name} (parent {parent.describe()})"
         )
-    scores = _hooks(vectorize).scores(
-        layer, [parent] * len(feasible), feasible, inner_order, arch
-    )
+    scores = hooks.scores(layer, arch, (inner_order,), [(0, parent, entry)])
     return [feasible[i] for i in _ranked(range(len(feasible)), scores)[:keep]]
 
 
@@ -300,11 +342,12 @@ def parallel_caps(
     With ``degrees[d]`` workers splitting the parent along ``d``, the child
     extent must not exceed ``ceil(parent / degree)`` or some workers idle.
     """
-    return TileShape.from_mapping(
-        {
-            dim: max(1, math.ceil(parent.extent(dim) / degrees.get(dim, 1)))
-            for dim in ALL_DIMS
-        }
+    return TileShape(
+        w=max(1, math.ceil(parent.w / degrees.get(Dim.W, 1))),
+        h=max(1, math.ceil(parent.h / degrees.get(Dim.H, 1))),
+        c=max(1, math.ceil(parent.c / degrees.get(Dim.C, 1))),
+        k=max(1, math.ceil(parent.k / degrees.get(Dim.K, 1))),
+        f=max(1, math.ceil(parent.f / degrees.get(Dim.F, 1))),
     )
 
 
@@ -312,61 +355,82 @@ def allocate_hierarchy(
     layer: ConvLayer,
     arch: AcceleratorConfig,
     last_level_tile: TileShape,
-    inner_order: LoopOrder,
+    inner_orders: tuple[LoopOrder, ...],
     *,
     keep_per_level: int = 4,
     level_degrees: tuple[dict[Dim, int], ...] | None = None,
     vectorize: bool = False,
     candidate_memo: dict | None = None,
-) -> list[tuple[TileShape, ...]]:
-    """Candidate full hierarchies below a chosen last-level tile.
+) -> list[list[tuple[TileShape, ...]] | None]:
+    """Candidate full hierarchies below a chosen last-level tile, per
+    inner loop order.
 
-    Called level by level from ``N-1`` down to 0 as in the paper; at each
-    level the best few allocations are kept and expanded (beam search).
+    Returns one entry per order of ``inner_orders``: that order's beams,
+    or ``None`` when some level leaves it no feasible sub-tile.  Called
+    level by level from ``N-1`` down to 0 as in the paper; at each level
+    the best few allocations are kept and expanded (beam search).
     ``level_degrees[i]`` gives the parallel split applied when tiles of
     level ``i`` are distributed (clusters at the middle level, PEs at the
     innermost), which caps tile extents so every worker gets a sub-tile.
 
-    Per level, every beam's candidate sub-tiles are scored in one call —
-    ``f_reuse`` per pair, or one batched evaluation with
-    ``vectorize=True`` (bit-identical scores).  Each beam keeps its top
-    ``keep_per_level`` children (:func:`allocate_level`), then the
-    survivors are ranked globally by the same score with a stable sort.
+    The beams of all orders advance together.  Per level, the candidate
+    sub-tiles of each distinct parent are generated once
+    (:func:`candidate_sub_tiles`, sharing ``candidate_memo``) and every
+    (order, beam, candidate) row is scored in one call — ``f_reuse`` per
+    row, or one batched evaluation with ``vectorize=True`` (bit-identical
+    scores).  Orders never interact: each beam keeps its top
+    ``keep_per_level`` children (:func:`allocate_level`), then each
+    order's survivors are ranked by the same score with a stable sort, so
+    entry ``i`` equals a call with ``(inner_orders[i],)`` alone.
     Candidates never exceed their parent (the generator bounds them by
     it), so a child's own score is also its beam's last-boundary score.
-    ``candidate_memo`` is passed to :func:`candidate_sub_tiles`.
     """
-    beams: list[tuple[TileShape, ...]] = [(last_level_tile,)]
+    hooks = _hooks(vectorize)
+    per_order: list[list[tuple[TileShape, ...]] | None] = [
+        [(last_level_tile,)] for _ in inner_orders
+    ]
     for level_index in range(1, arch.num_levels):
         degrees = None
         if level_degrees is not None:
             degrees = level_degrees[level_index]
-        owners: list[tuple[TileShape, ...]] = []
-        parents: list[TileShape] = []
-        children: list[TileShape] = []
-        spans: list[range] = []
-        for beam in beams:
-            parent = beam[-1]
-            cap = parallel_caps(parent, degrees) if degrees else None
-            tiles = candidate_sub_tiles(
-                layer, arch, level_index, parent, cap=cap,
-                vectorize=vectorize, memo=candidate_memo,
-            )
-            spans.append(range(len(children), len(children) + len(tiles)))
-            owners += [beam] * len(tiles)
-            parents += [parent] * len(tiles)
-            children += tiles
-        if not children:
-            raise ValueError(
-                f"no feasible allocation below {last_level_tile.describe()} "
-                f"for {layer.name} on {arch.name}"
-            )
-        scores = _hooks(vectorize).scores(
-            layer, parents, children, inner_order, arch
-        )
-        chosen = [j for span in spans for j in _ranked(span, scores)[:keep_per_level]]
-        beams = [
-            owners[j] + (children[j].clipped(parents[j]),)
-            for j in _ranked(chosen, scores)[: max(keep_per_level, 2)]
-        ]
-    return beams
+        entries: dict[TileShape, _Candidates] = {}
+        segments = []  # (order index, parent, candidates), one per beam
+        for o, beams in enumerate(per_order):
+            for beam in beams or ():
+                parent = beam[-1]
+                entry = entries.get(parent)
+                if entry is None:
+                    cap = parallel_caps(parent, degrees) if degrees else None
+                    entry = entries[parent] = _candidates(
+                        layer, arch, level_index, parent, cap, hooks,
+                        candidate_memo,
+                    )
+                segments.append((o, parent, entry))
+        if not any(entry.tiles for _, _, entry in segments):
+            return [None] * len(inner_orders)
+        scores = hooks.scores(layer, arch, inner_orders, segments)
+        start = 0
+        segment = iter(segments)
+        for o, beams in enumerate(per_order):
+            if beams is None:
+                continue
+            first = start
+            chosen = []  # (row, beam, parent, child)
+            for beam in beams:
+                _, parent, entry = next(segment)
+                tiles = entry.tiles
+                span = range(start, start + len(tiles))
+                start = span.stop
+                chosen += [
+                    (j, beam, parent, tiles[j - span.start])
+                    for j in _ranked(span, scores)[:keep_per_level]
+                ]
+            if start == first:  # no feasible sub-tile below any beam
+                per_order[o] = None
+                continue
+            chosen.sort(key=lambda pick: scores[pick[0]], reverse=True)
+            per_order[o] = [
+                beam + (child.clipped(parent),)
+                for _, beam, parent, child in chosen[: max(keep_per_level, 2)]
+            ]
+    return per_order

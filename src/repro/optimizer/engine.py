@@ -159,19 +159,93 @@ def _check_backend(backend):
     return backend
 
 
+def _env_value(variable: str, parse, environ=None):
+    """``parse`` of ``$variable`` (blanks stripped), or ``None`` when it
+    is unset or blank.
+
+    The resolvers below and :meth:`repro.api.SessionConfig.from_env` both
+    read the environment through this and the same per-variable parser,
+    so each variable has one parse and one error message.
+    """
+    raw = (os.environ if environ is None else environ).get(variable)
+    if raw is None or raw.strip() == "":
+        return None
+    return parse(raw.strip())
+
+
+def _parse_parallelism(raw: str) -> int:
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_PARALLELISM must be an integer, got {raw!r}"
+        ) from None
+
+
+def _parse_parallelism_mode(raw: str) -> str:
+    return _check_mode(raw.lower())
+
+
+def _parse_cache_backend(raw: str) -> str:
+    return _check_backend(raw.lower())
+
+
+def _parse_use_cache(raw: str) -> bool:
+    return parse_bool(raw, "REPRO_USE_CACHE")
+
+
+def _parse_vectorize(raw: str) -> bool:
+    return parse_bool(raw, "REPRO_VECTORIZE")
+
+
+def _parse_budget_ms(raw: str) -> float:
+    """An invalid budget raises — a typo'd budget must never silently
+    become an unbudgeted (or unbounded) run."""
+    try:
+        budget = float(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_BUDGET_MS must be a number (milliseconds), got {raw!r}"
+        ) from None
+    if budget < 0:
+        raise ValueError(
+            f"REPRO_BUDGET_MS must be >= 0 (milliseconds), got {raw!r}"
+        )
+    return budget
+
+
+def _parse_max_table_bytes(raw: str) -> int:
+    """An invalid or non-positive cap raises — a typo'd cap must never
+    silently mean "unlimited"."""
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_MAX_TABLE_BYTES must be an integer byte count, "
+            f"got {raw!r}"
+        ) from None
+    if cap < 1:
+        raise ValueError(
+            f"REPRO_MAX_TABLE_BYTES must be >= 1 (bytes), got {raw!r}"
+        )
+    return cap
+
+
+def _parse_manifest_compact_ratio(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_MANIFEST_COMPACT_RATIO must be a number, got {raw!r}"
+        ) from None
+
+
 def default_parallelism() -> int:
     scoped = active_value("parallelism")
     if scoped is not None:
         return max(1, scoped)
-    env = os.environ.get("REPRO_PARALLELISM")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PARALLELISM must be an integer, got {env!r}"
-        ) from None
+    env = _env_value("REPRO_PARALLELISM", _parse_parallelism)
+    return 1 if env is None else env
 
 
 def default_parallelism_mode() -> str:
@@ -181,18 +255,15 @@ def default_parallelism_mode() -> str:
     scoped = active_value("parallelism_mode")
     if scoped is not None:
         return _check_mode(scoped)
-    env = os.environ.get("REPRO_PARALLELISM_MODE")
-    if not env:
-        return "process"
-    return _check_mode(env.strip().lower())
+    env = _env_value("REPRO_PARALLELISM_MODE", _parse_parallelism_mode)
+    return "process" if env is None else env
 
 
 def default_cache_dir() -> Path | None:
     scoped = active_value("cache_dir")
     if scoped is not None:
         return Path(scoped)
-    env = os.environ.get("REPRO_CACHE_DIR")
-    return Path(env) if env else None
+    return _env_value("REPRO_CACHE_DIR", Path)
 
 
 def default_cache_backend() -> str | ConfigStore:
@@ -201,20 +272,16 @@ def default_cache_backend() -> str | ConfigStore:
     scoped = active_value("cache_backend")
     if scoped is not None:
         return _check_backend(scoped)
-    env = os.environ.get("REPRO_CACHE_BACKEND")
-    if not env:
-        return "local"
-    return _check_backend(env.strip().lower())
+    env = _env_value("REPRO_CACHE_BACKEND", _parse_cache_backend)
+    return "local" if env is None else env
 
 
 def default_use_cache() -> bool:
     scoped = active_value("use_cache")
     if scoped is not None:
         return scoped
-    env = os.environ.get("REPRO_USE_CACHE")
-    if env is not None and env.strip() != "":
-        return parse_bool(env, "REPRO_USE_CACHE")
-    return True
+    env = _env_value("REPRO_USE_CACHE", _parse_use_cache)
+    return True if env is None else env
 
 
 def default_vectorize() -> bool:
@@ -223,9 +290,9 @@ def default_vectorize() -> bool:
     scoped = active_value("vectorize")
     if scoped is not None:
         return scoped
-    env = os.environ.get("REPRO_VECTORIZE")
-    if env is not None and env.strip() != "":
-        return parse_bool(env, "REPRO_VECTORIZE")
+    env = _env_value("REPRO_VECTORIZE", _parse_vectorize)
+    if env is not None:
+        return env
     from repro.core import batch
 
     return batch.available
@@ -233,58 +300,25 @@ def default_vectorize() -> bool:
 
 def default_budget_ms() -> float | None:
     """Anytime-search budget in milliseconds (``None`` = run to
-    exhaustion), via the active session or ``$REPRO_BUDGET_MS``.
-
-    An empty value means unset; an invalid one raises — a typo'd budget
-    must never silently become an unbudgeted (or unbounded) run.
-    """
+    exhaustion), via the active session or ``$REPRO_BUDGET_MS``; an
+    empty value means unset."""
     scoped = active_value("budget_ms")
     if scoped is not None:
         return scoped
-    env = os.environ.get("REPRO_BUDGET_MS")
-    if env is None or env.strip() == "":
-        return None
-    try:
-        budget = float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BUDGET_MS must be a number (milliseconds), got {env!r}"
-        ) from None
-    if budget < 0:
-        raise ValueError(
-            f"REPRO_BUDGET_MS must be >= 0 (milliseconds), got {env!r}"
-        )
-    return budget
+    return _env_value("REPRO_BUDGET_MS", _parse_budget_ms)
 
 
 def default_max_table_bytes() -> int | None:
     """Memory cap (bytes) for columnar schedule/candidate tables
     (``None`` = materialise full tables), via the active session or
-    ``$REPRO_MAX_TABLE_BYTES``.  Capped passes stream row chunks with
-    carried reductions — bit-identical to unchunked, so this too stays
-    out of search signatures.
-
-    An empty value means unset; an invalid or non-positive one raises —
-    a typo'd cap must never silently mean "unlimited".
+    ``$REPRO_MAX_TABLE_BYTES``; an empty value means unset.  Capped
+    passes stream row chunks with carried reductions — bit-identical to
+    unchunked, so this too stays out of search signatures.
     """
     scoped = active_value("max_table_bytes")
     if scoped is not None:
         return scoped
-    env = os.environ.get("REPRO_MAX_TABLE_BYTES")
-    if env is None or env.strip() == "":
-        return None
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MAX_TABLE_BYTES must be an integer byte count, "
-            f"got {env!r}"
-        ) from None
-    if cap < 1:
-        raise ValueError(
-            f"REPRO_MAX_TABLE_BYTES must be >= 1 (bytes), got {env!r}"
-        )
-    return cap
+    return _env_value("REPRO_MAX_TABLE_BYTES", _parse_max_table_bytes)
 
 
 def default_manifest_compact_ratio() -> float | None:
@@ -296,15 +330,9 @@ def default_manifest_compact_ratio() -> float | None:
     scoped = active_value("manifest_compact_ratio")
     if scoped is not None:
         return scoped
-    env = os.environ.get("REPRO_MANIFEST_COMPACT_RATIO")
-    if env is None or env.strip() == "":
-        return None
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_MANIFEST_COMPACT_RATIO must be a number, got {env!r}"
-        ) from None
+    return _env_value(
+        "REPRO_MANIFEST_COMPACT_RATIO", _parse_manifest_compact_ratio
+    )
 
 
 # ----------------------------------------------------------------------

@@ -643,14 +643,14 @@ class LayerOptimizer:
             max_candidates=self.options.max_l2_candidates,
             vectorize=evaluator_type.vectorize,
         )
-        inner_orders = self._inner_orders()
+        inner_orders = tuple(self._inner_orders())
         parallelisms, displaced = self._parallelisms(layer)
-        evaluator = evaluator_type(self, layer, parallelisms)
+        evaluator = evaluator_type(self, layer, parallelisms, inner_orders)
         outers_for, bound_for, block_bound = self._bound_closures(
             layer, floors, parallelisms, l2_tiles
         )
         #: (level, parent, cap) -> sub-tile candidates, shared across the
-        #: inner-order loop (candidate generation is order-independent).
+        #: blocks of the search (candidate generation is order-independent).
         candidate_memo: dict = {}
 
         best = None  # the evaluator's handle on the incumbent
@@ -670,38 +670,38 @@ class LayerOptimizer:
             return value == best_score and (block_idx, row_idx) < best_rank
 
         def rows(block_idx, p_idx, t_idx, outer_orders):
-            """The block's unpruned rows ``(rank, inner, tiles, outer)``;
-            each row's prune sees the incumbent as of its pull."""
+            """The block's unpruned rows ``(rank, inner index, tiles, outer
+            index)``, indexing ``inner_orders`` and ``outer_orders``; each
+            row's prune sees the incumbent as of its pull."""
             nonlocal pruned
             arch = self.arch
             level_degrees = parallel_level_degrees(
                 arch.num_levels, arch.clusters, arch.pes_per_cluster,
                 parallelisms[p_idx],
             )
+            # One level-synchronous allocator beam for every inner order.
+            allocations = allocate_hierarchy(
+                layer,
+                arch,
+                l2_tiles[t_idx],
+                inner_orders,
+                keep_per_level=self.options.keep_per_level,
+                level_degrees=level_degrees,
+                vectorize=evaluator.vectorize,
+                candidate_memo=candidate_memo,
+            )
+            bounds = [bound_for(p_idx, t_idx, outer) for outer in outer_orders]
             row = -1
-            for inner in inner_orders:
-                try:
-                    beams = allocate_hierarchy(
-                        layer,
-                        self.arch,
-                        l2_tiles[t_idx],
-                        inner,
-                        keep_per_level=self.options.keep_per_level,
-                        level_degrees=level_degrees,
-                        vectorize=evaluator.vectorize,
-                        candidate_memo=candidate_memo,
-                    )
-                except ValueError:
+            for i, beams in enumerate(allocations):
+                if beams is None:  # no allocation under this inner order
                     continue
                 for tiles in beams[: self.options.keep_allocations]:
-                    for outer in outer_orders:
+                    for q, bound in enumerate(bounds):
                         row += 1
-                        if not can_beat(
-                            bound_for(p_idx, t_idx, outer), block_idx, row
-                        ):
+                        if not can_beat(bound, block_idx, row):
                             pruned += 1
                             continue
-                        yield row, inner, tiles, outer
+                        yield row, i, tiles, q
 
         best_first = self.options.search_order == "best_first"
         blocks = candidate_blocks(
@@ -738,7 +738,8 @@ class LayerOptimizer:
                 pruned += len(outer_orders)
                 continue
             block_rows = rows(block_idx, p_idx, t_idx, outer_orders)
-            for score, row, handle in evaluator.offers(p_idx, block_rows):
+            offers = evaluator.offers(p_idx, outer_orders, block_rows)
+            for score, row, handle in offers:
                 if can_beat(score, block_idx, row):
                     best, best_score = handle, score
                     best_rank = (block_idx, row)
@@ -788,19 +789,24 @@ class _ScalarBlocks:
         optimizer: LayerOptimizer,
         layer: ConvLayer,
         parallelisms: list[Parallelism],
+        inner_orders: tuple[LoopOrder, ...],
     ) -> None:
         self.layer = layer
         self.arch = optimizer.arch
         self.score = optimizer._score
         self.parallelisms = parallelisms
+        self.inner_orders = inner_orders
         self.evaluated = 0
 
-    def offers(self, p_idx: int, rows):
+    def offers(self, p_idx: int, outer_orders, rows):
         par = self.parallelisms[p_idx]
-        for row, inner, tiles, outer in rows:
+        for row, i, tiles, q in rows:
             hierarchy = TileHierarchy(self.layer, tiles)
+            dataflow = Dataflow(
+                outer_orders[q], self.inner_orders[i], hierarchy, par
+            )
             try:
-                ev = evaluate(Dataflow(outer, inner, hierarchy, par), self.arch)
+                ev = evaluate(dataflow, self.arch)
             except CapacityError:
                 continue
             self.evaluated += 1
@@ -829,6 +835,7 @@ class _ColumnarBlocks:
         optimizer: LayerOptimizer,
         layer: ConvLayer,
         parallelisms: list[Parallelism],
+        inner_orders: tuple[LoopOrder, ...],
     ) -> None:
         self.layer = layer
         self.arch = optimizer.arch
@@ -837,25 +844,29 @@ class _ColumnarBlocks:
         self.parallelisms = tuple(parallelisms)
         #: Stable order registry shared by outer and inner columns.
         self.order_index: dict[LoopOrder, int] = {}
+        self.inner_ids = [self._index_of(order) for order in inner_orders]
         self.evaluated = 0
 
     def _index_of(self, order: LoopOrder) -> int:
         return self.order_index.setdefault(order, len(self.order_index))
 
-    def offers(self, p_idx: int, rows):
+    def offers(self, p_idx: int, outer_orders, rows):
         import numpy as np
 
         from repro.core.batch import CandidateBatch
 
+        # Order indices resolve once per order per block, not per row.
+        inner_ids = self.inner_ids
+        outer_ids = [self._index_of(order) for order in outer_orders]
         ranks: list[int] = []
         tiles_rows: list[list[tuple[int, ...]]] = []
         inner_col: list[int] = []
         outer_col: list[int] = []
-        for row, inner, tiles, outer in rows:
+        for row, i, tiles, q in rows:
             ranks.append(row)
             tiles_rows.append([(t.w, t.h, t.c, t.k, t.f) for t in tiles])
-            inner_col.append(self._index_of(inner))
-            outer_col.append(self._index_of(outer))
+            inner_col.append(inner_ids[i])
+            outer_col.append(outer_ids[q])
         if not ranks:
             return
         n = len(ranks)

@@ -188,6 +188,14 @@ def set_build_defaults(**defaults) -> None:
             _BUILD_DEFAULTS[key] = value
 
 
+def _parse_frames(raw: str) -> int:
+    """``$REPRO_FRAMES``, clamped so 0 means the minimum, not an error."""
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"REPRO_FRAMES must be an integer, got {raw!r}") from None
+
+
 def build_network(name: str, **kwargs) -> Network:
     """Build a registered network.
 
@@ -208,12 +216,7 @@ def build_network(name: str, **kwargs) -> Network:
     if "frames" not in defaults:
         env = os.environ.get("REPRO_FRAMES")
         if env and env.strip():
-            try:
-                defaults["frames"] = max(1, int(env))
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_FRAMES must be an integer, got {env!r}"
-                ) from None
+            defaults["frames"] = _parse_frames(env.strip())
     from repro._scope import active_value
 
     frames = active_value("frames")

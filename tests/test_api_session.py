@@ -9,10 +9,17 @@ import json
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from repro.api import Session, SessionConfig, current_session, default_session
+from repro.api import (
+    _ENV_FIELDS,
+    Session,
+    SessionConfig,
+    current_session,
+    default_session,
+)
 from repro.arch.accelerator import morph
 from repro.core.layer import ConvLayer
 from repro.optimizer import engine as engine_mod
@@ -30,6 +37,7 @@ from repro.optimizer.search import (
     clear_cache,
     optimize_network,
 )
+from repro.workloads import build_network
 
 LAYER_A = ConvLayer(
     "a", h=10, w=10, c=8, f=4, k=8, r=3, s=3, t=3,
@@ -234,6 +242,66 @@ class TestSessionConfig:
         assert merged.frames == 16
         assert merged.vectorize is False
 
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+#: Per ``$REPRO_*`` variable: a value it rejects (``None`` for the path
+#: variables, which accept anything) and the call that resolves it
+#: outside a session (``None`` when only SessionConfig reads it).
+_ENV_CASES = {
+    "REPRO_PARALLELISM": ("many", engine_mod.default_parallelism),
+    "REPRO_PARALLELISM_MODE": ("fork", engine_mod.default_parallelism_mode),
+    "REPRO_CACHE_DIR": (None, engine_mod.default_cache_dir),
+    "REPRO_CACHE_BACKEND": ("s3", engine_mod.default_cache_backend),
+    "REPRO_USE_CACHE": ("si", engine_mod.default_use_cache),
+    "REPRO_VECTORIZE": ("si", engine_mod.default_vectorize),
+    "REPRO_BUDGET_MS": ("abc", engine_mod.default_budget_ms),
+    "REPRO_MAX_TABLE_BYTES": ("lots", engine_mod.default_max_table_bytes),
+    "REPRO_FRAMES": ("sixteen", lambda: build_network("c3d")),
+    "REPRO_BENCH_DIR": (None, None),
+    "REPRO_MANIFEST_COMPACT_RATIO": (
+        "half", engine_mod.default_manifest_compact_ratio
+    ),
+}
+
+
+class TestEnvParsing:
+    """SessionConfig.from_env and the default_* resolvers parse each
+    variable once, with one message."""
+
+    def test_every_variable_has_a_case(self):
+        assert set(_ENV_CASES) == set(_ENV_FIELDS)
+
+    @pytest.mark.parametrize("variable", sorted(_ENV_FIELDS))
+    def test_from_env_raises_the_resolvers_message(self, monkeypatch, variable):
+        bad, resolve = _ENV_CASES[variable]
+        if bad is None:  # any path parses, the same way on both sides
+            monkeypatch.setenv(variable, " runs/out ")
+            field = _ENV_FIELDS[variable][0]
+            parsed = getattr(SessionConfig.from_env(), field)
+            assert parsed == Path("runs/out")
+            assert resolve is None or resolve() == parsed
+            return
+        monkeypatch.setenv(variable, bad)
+        message = _raised(SessionConfig.from_env)
+        assert repr(bad) in message
+        assert _raised(resolve) == message
+
+    @pytest.mark.parametrize(
+        ("variable", "value"),
+        [("REPRO_BUDGET_MS", "-4"), ("REPRO_MAX_TABLE_BYTES", "0")],
+    )
+    def test_out_of_range_values_raise_one_message(
+        self, monkeypatch, variable, value
+    ):
+        monkeypatch.setenv(variable, value)
+        _, resolve = _ENV_CASES[variable]
+        assert _raised(SessionConfig.from_env) == _raised(resolve)
 
 # ----------------------------------------------------------------------
 # Scoping

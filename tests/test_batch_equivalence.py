@@ -11,6 +11,11 @@ configurations, bit-identical scores.  These tests pin that contract:
   orders compares the allocator (``candidate_sub_tiles``,
   ``allocate_level``, ``allocate_hierarchy``) under its scalar and
   columnar hooks, with and without the candidate memo;
+* property tests over random strided, dilated and (2+1)D layers pin the
+  multi-order beam: entry ``i`` of one ``allocate_hierarchy`` call over
+  several inner orders equals the single-order call for order ``i``, and
+  ``boundary_fill_bytes_sum`` with per-row orders equals its per-order
+  calls bit for bit;
 * a property test over random layers and all four objectives compares
   the full vectorized search against the scalar reference search, and a
   forced score mismatch must fall back to the scalar search;
@@ -28,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.accelerator import eyeriss_like, morph, morph_base
-from repro.core.batch import CandidateBatch
+from repro.core.batch import CandidateBatch, boundary_fill_bytes_sum
 from repro.core.dataflow import Dataflow, Parallelism
 from repro.core.dims import Dim
 from repro.core.evaluate import CapacityError, evaluate
@@ -36,7 +41,7 @@ from repro.core.layer import ConvLayer
 from repro.core.loopnest import LoopOrder, all_loop_orders
 from repro.core.performance_model import parallel_level_degrees
 from repro.core.tiling import TileHierarchy, TileShape
-from repro.optimizer import search
+from repro.optimizer import allocation, search
 from repro.optimizer.allocation import (
     allocate_hierarchy,
     allocate_level,
@@ -95,6 +100,31 @@ def layers(draw) -> ConvLayer:
         dilation_h=dil_h,
         dilation_w=dil_w,
         dilation_f=dil_f,
+    )
+
+
+@st.composite
+def factorised_layers(draw) -> ConvLayer:
+    """Random (2+1)D halves: a spatial 1xSxR or a temporal Tx1x1 conv."""
+    temporal = draw(st.booleans())
+    r, s = (1, 1) if temporal else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    t = draw(st.integers(2, 3)) if temporal else 1
+    return ConvLayer(
+        "prop21d",
+        h=draw(st.integers(r, 24)),
+        w=draw(st.integers(s, 24)),
+        c=draw(st.integers(1, 48)),
+        f=draw(st.integers(t, 8)),
+        k=draw(st.integers(1, 64)),
+        r=r,
+        s=s,
+        t=t,
+        stride_h=draw(st.integers(1, 2)),
+        stride_w=draw(st.integers(1, 2)),
+        stride_f=draw(st.integers(1, 2)),
+        pad_h=r // 2,
+        pad_w=s // 2,
+        pad_f=t // 2,
     )
 
 
@@ -261,14 +291,11 @@ class TestAllocatorEquivalence:
         )
 
         def allocate(vectorize, memo):
-            try:
-                return allocate_hierarchy(
-                    layer, arch, parent, inner, keep_per_level=keep,
-                    level_degrees=level_degrees, vectorize=vectorize,
-                    candidate_memo=memo,
-                )
-            except ValueError:
-                return None
+            return allocate_hierarchy(
+                layer, arch, parent, (inner,), keep_per_level=keep,
+                level_degrees=level_degrees, vectorize=vectorize,
+                candidate_memo=memo,
+            )
 
         expected = allocate(False, None)
         for vectorize in (True, False):
@@ -276,6 +303,138 @@ class TestAllocatorEquivalence:
             assert allocate(vectorize, None) == expected
             assert allocate(vectorize, memo) == expected
             assert allocate(vectorize, memo) == expected  # memo warm
+
+
+@st.composite
+def multi_order_cases(draw):
+    """(layer, arch, L2 tile, level degrees or None, inner orders): a
+    random strided/dilated or (2+1)D layer and a random subset of the
+    120 loop orders in random sequence."""
+    layer = draw(st.one_of(layers(), factorised_layers()))
+    arch = ARCHES[draw(st.sampled_from(sorted(ARCHES)))]()
+    parent = _random_tile(draw, TileShape.full(layer))
+    parallelism = draw(st.sampled_from([
+        None,
+        Parallelism(k=arch.clusters, h=arch.pes_per_cluster),
+        Parallelism(w=min(4, arch.total_pes)),
+    ]))
+    level_degrees = None if parallelism is None else parallel_level_degrees(
+        arch.num_levels, arch.clusters, arch.pes_per_cluster, parallelism
+    )
+    orders = draw(st.lists(
+        st.sampled_from(list(all_loop_orders())), min_size=1, max_size=5,
+        unique=True,
+    ))
+    return layer, arch, parent, level_degrees, tuple(orders)
+
+
+class TestMultiOrderAllocation:
+    """One level-synchronous beam over many inner orders == one beam per
+    order: the orders never interact inside the allocator."""
+
+    @given(case=multi_order_cases(), keep=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_entry_equals_single_order_call(self, case, keep):
+        layer, arch, parent, level_degrees, orders = case
+
+        def allocate(orders, vectorize, memo):
+            return allocate_hierarchy(
+                layer, arch, parent, orders, keep_per_level=keep,
+                level_degrees=level_degrees, vectorize=vectorize,
+                candidate_memo=memo,
+            )
+
+        expected = [allocate((order,), False, None)[0] for order in orders]
+        for vectorize in (False, True):
+            memo: dict = {}
+            for memo_or_none in (None, memo, memo):  # cold, then memo warm
+                assert allocate(orders, vectorize, memo_or_none) == expected
+            assert allocate(orders[::-1], vectorize, memo) == expected[::-1]
+
+    def test_order_without_allocation_is_marked_alone(self, monkeypatch):
+        """Entry ``i`` still equals the single-order call when one order
+        loses every level-2 candidate while another survives.  Every real
+        candidate set holds the minimum tile, so level-2 feasibility is
+        the same for every parent; the dead parent is injected."""
+        layer = ConvLayer(
+            "split", h=19, w=38, c=120, f=6, k=241, r=3, s=3, t=3,
+            pad_h=1, pad_w=1, pad_f=1,
+        )
+        arch = morph()
+        l2 = TileShape(w=35, h=18, c=61, k=102, f=6)
+        dies, lives = LoopOrder.parse("WHCKF"), LoopOrder.parse("KWFCH")
+        real = allocation._candidates
+        level2_parents: dict[LoopOrder, set] = {}
+
+        def allocate(orders, vectorize=False, memo=None):
+            return allocate_hierarchy(
+                layer, arch, l2, orders, keep_per_level=1,
+                vectorize=vectorize, candidate_memo=memo,
+            )
+
+        for order in (dies, lives):
+            seen = level2_parents[order] = set()
+
+            def spy(layer, arch, level_index, parent, *rest, seen=seen):
+                if level_index == 2:
+                    seen.add(parent)
+                return real(layer, arch, level_index, parent, *rest)
+
+            monkeypatch.setattr(allocation, "_candidates", spy)
+            allocate((order,))
+        killed = level2_parents[dies]
+        assert killed and not killed & level2_parents[lives]
+
+        def no_candidates_below_killed(layer, arch, level_index, parent, *rest):
+            if level_index == 2 and parent in killed:
+                return allocation._Candidates([])
+            return real(layer, arch, level_index, parent, *rest)
+
+        monkeypatch.setattr(allocation, "_candidates", no_candidates_below_killed)
+        [survivor] = allocate((lives,))
+        assert survivor and allocate((dies,)) == [None]
+        for vectorize in (False, True):
+            for memo in (None, {}):
+                assert allocate((dies, lives), vectorize, memo) == [None, survivor]
+                assert allocate((lives, dies), vectorize, memo) == [survivor, None]
+
+    @given(
+        layer=st.one_of(layers(), factorised_layers()),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_boundary_fill_bytes_per_row_orders(self, layer, data):
+        """Per-row orders give each row the single-order call's bytes."""
+        full = TileShape.full(layer)
+        n = data.draw(st.integers(1, 12))
+        parents = [_random_tile(data.draw, full) for _ in range(n)]
+        children = [_random_tile(data.draw, parent) for parent in parents]
+        orders = tuple(data.draw(st.lists(
+            st.sampled_from(list(all_loop_orders())), min_size=1, max_size=4,
+            unique=True,
+        )))
+        index = np.array(
+            data.draw(st.lists(
+                st.integers(0, len(orders) - 1), min_size=n, max_size=n
+            )),
+            dtype=np.intp,
+        )
+
+        def columns(tiles):
+            return np.array(
+                [(t.w, t.h, t.c, t.k, t.f) for t in tiles], dtype=np.int64
+            ).T
+
+        precision = morph().precision
+        mixed = boundary_fill_bytes_sum(
+            layer, precision, columns(parents), columns(children), orders, index
+        )
+        for o, order in enumerate(orders):
+            rows = np.flatnonzero(index == o)
+            single = boundary_fill_bytes_sum(
+                layer, precision, columns(parents), columns(children), order
+            )
+            assert mixed[rows].tolist() == single[rows].tolist()
 
 
 class TestSearchEquivalence:

@@ -416,7 +416,8 @@ class TestKnobPlumbing:
 
         monkeypatch.setenv("REPRO_MAX_TABLE_BYTES", "lots")
         with pytest.raises(
-            ValueError, match=r"REPRO_MAX_TABLE_BYTES could not be parsed"
+            ValueError,
+            match=r"REPRO_MAX_TABLE_BYTES must be an integer byte count, got 'lots'",
         ):
             SessionConfig.from_env()
 

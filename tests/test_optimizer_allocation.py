@@ -90,7 +90,8 @@ class TestParallelCaps:
 class TestAllocateHierarchy:
     def test_nesting_and_capacity(self, morph_arch):
         l2 = TileShape(w=28, h=14, c=64, k=8, f=8)
-        for beam in allocate_hierarchy(LAYER, morph_arch, l2, INNER):
+        [beams] = allocate_hierarchy(LAYER, morph_arch, l2, (INNER,))
+        for beam in beams:
             assert len(beam) == morph_arch.num_levels
             for parent, child in zip(beam, beam[1:]):
                 assert child.fits_within(parent)
@@ -102,9 +103,10 @@ class TestAllocateHierarchy:
         worker gets a sub-tile whenever the parent has enough extent."""
         l2 = TileShape(w=28, h=7, c=64, k=48, f=4)
         degrees = ({}, {Dim.K: 6}, {Dim.H: 8})
-        for beam in allocate_hierarchy(
-            LAYER, morph_arch, l2, INNER, level_degrees=degrees
-        ):
+        [beams] = allocate_hierarchy(
+            LAYER, morph_arch, l2, (INNER,), level_degrees=degrees
+        )
+        for beam in beams:
             # 6 clusters each need a K-subtile of the L2 tile.
             assert -(-beam[0].k // beam[1].k) >= min(6, beam[0].k)
             # 8 PEs need H-subtiles of the L1 tile.
@@ -113,12 +115,19 @@ class TestAllocateHierarchy:
     def test_two_level_machine(self, eyeriss_arch):
         frame = LAYER.as_2d_frame()
         l2 = TileShape(w=26, h=26, c=128, k=8, f=1)
-        beams = allocate_hierarchy(frame, eyeriss_arch, l2, INNER)
-        assert all(len(beam) == 2 for beam in beams)
+        [beams] = allocate_hierarchy(frame, eyeriss_arch, l2, (INNER,))
+        assert beams and all(len(beam) == 2 for beam in beams)
 
-    def test_impossible_allocation_raises(self, morph_arch):
-        """A kernel bigger than the L0 cannot be tiled down (R/S untiled)."""
+    def test_impossible_allocation_is_marked(self, morph_arch):
+        """A kernel bigger than the L0 cannot be tiled down (R/S untiled):
+        every order gets the no-allocation marker, and one level alone
+        raises."""
         wide = ConvLayer("wide", h=200, w=200, c=1, f=1, k=1, r=150, s=150, t=1)
         l2 = TileShape(w=1, h=1, c=1, k=1, f=1)
+        orders = (INNER, LoopOrder.parse("WHCKF"))
+        for vectorize in (False, True):
+            assert allocate_hierarchy(
+                wide, morph_arch, l2, orders, vectorize=vectorize
+            ) == [None, None]
         with pytest.raises(ValueError):
-            allocate_hierarchy(wide, morph_arch, l2, INNER)
+            allocate_level(wide, morph_arch, 2, l2, INNER)

@@ -227,3 +227,53 @@ class TestParallelismDisplacement:
         engine = OptimizerEngine(arch, options, use_cache=False)
         engine.optimize_layers((LAYER,))
         assert engine.stats.parallelism_displaced == 1
+
+
+class TestAllocatorCallShape:
+    """The columnar search allocates each block in one beam over all of
+    its inner orders: call counts, not times, so a regression to one
+    allocator call per inner order fails here."""
+
+    def test_one_allocation_and_one_score_pass_per_level_per_block(
+        self, monkeypatch
+    ):
+        from repro.arch.accelerator import morph
+        from repro.core import batch
+        from repro.optimizer import search
+        from repro.workloads import build_network
+
+        layer = build_network("c3d").layers[2]  # layer3a
+        arch = morph()
+        optimizer = LayerOptimizer(arch, OptimizerOptions(vectorize=True))
+        counts = {"blocks": 0, "allocate": 0, "fill": 0}
+        orders_seen = []
+
+        offers = search._ColumnarBlocks.offers
+        allocate = search.allocate_hierarchy
+        fill = batch.boundary_fill_bytes_sum
+
+        def counting_offers(self, *args):
+            counts["blocks"] += 1  # one offer pass per allocated block
+            return offers(self, *args)
+
+        def counting_allocate(*args, **kwargs):
+            counts["allocate"] += 1
+            orders_seen.append(args[3])
+            return allocate(*args, **kwargs)
+
+        def counting_fill(*args, **kwargs):
+            counts["fill"] += 1
+            return fill(*args, **kwargs)
+
+        monkeypatch.setattr(search._ColumnarBlocks, "offers", counting_offers)
+        monkeypatch.setattr(search, "allocate_hierarchy", counting_allocate)
+        monkeypatch.setattr(batch, "boundary_fill_bytes_sum", counting_fill)
+        optimizer.optimize(layer)
+
+        assert counts["blocks"] > 1
+        assert counts["allocate"] == counts["blocks"]
+        assert counts["fill"] == (arch.num_levels - 1) * counts["blocks"]
+        assert all(
+            orders == tuple(optimizer._inner_orders()) for orders in orders_seen
+        )
+        assert len(orders_seen[0]) > 1
