@@ -16,6 +16,10 @@ from repro.core.loopnest import LoopOrder
 from repro.core.tiling import TileHierarchy, TileShape
 
 
+#: Parallelised dim -> its :class:`Parallelism` field (``C`` has none).
+_PARALLEL_FIELD: dict[Dim, str] = {Dim.W: "w", Dim.H: "h", Dim.K: "k", Dim.F: "f"}
+
+
 @dataclasses.dataclass(frozen=True)
 class Parallelism:
     """Spatial work distribution across PEs (paper Hp, Wp, Kp and Fp).
@@ -51,9 +55,8 @@ class Parallelism:
         )
 
     def of(self, dim: Dim) -> int:
-        return {Dim.W: self.w, Dim.H: self.h, Dim.K: self.k, Dim.F: self.f}.get(
-            dim, 1
-        )
+        field = _PARALLEL_FIELD.get(dim)
+        return 1 if field is None else getattr(self, field)
 
     @property
     def degree(self) -> int:

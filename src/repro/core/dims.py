@@ -37,6 +37,11 @@ class Dim(enum.Enum):
     K = "K"  #: output channels / filters
     F = "F"  #: output frames (temporal)
 
+    #: Members are singletons and compare by identity, so the C identity
+    #: hash is exact — and far cheaper than ``Enum.__hash__``, which runs
+    #: in Python on every dict/set lookup of the model hot paths.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Dim.{self.name}"
 
@@ -49,13 +54,19 @@ class Dim(enum.Enum):
         :class:`Dim` values.
         """
         try:
-            return cls(letter.upper())
-        except ValueError as exc:
-            raise ValueError(f"unknown dimension letter {letter!r}") from exc
+            return _DIM_OF_LETTER[letter]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown dimension letter {letter!r}") from None
 
 
 #: Canonical ordering used for iteration and display.
 ALL_DIMS: tuple[Dim, ...] = (Dim.W, Dim.H, Dim.C, Dim.K, Dim.F)
+
+#: Both cases of every dimension letter (see :meth:`Dim.from_letter`).
+_DIM_OF_LETTER: dict[str, Dim] = {
+    **{dim.value: dim for dim in ALL_DIMS},
+    **{dim.value.lower(): dim for dim in ALL_DIMS},
+}
 
 #: Dimensions along which convolution slides, creating halos (Section II-D).
 SLIDING_DIMS: frozenset[Dim] = frozenset({Dim.W, Dim.H, Dim.F})
@@ -67,6 +78,8 @@ class DataType(enum.Enum):
     INPUTS = "inputs"
     WEIGHTS = "weights"
     PSUMS = "psums"
+
+    __hash__ = object.__hash__  # identity hash, as for :class:`Dim`
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DataType.{self.name}"

@@ -31,6 +31,9 @@ from repro.core.dims import (
 )
 
 
+_TILED_DIMS: frozenset[Dim] = frozenset(ALL_DIMS)
+
+
 @dataclasses.dataclass(frozen=True)
 class LoopOrder:
     """An ordering of loop dimensions, outermost first.
@@ -44,7 +47,9 @@ class LoopOrder:
     dims: tuple[Dim, ...]
 
     def __post_init__(self) -> None:
-        if sorted(d.value for d in self.dims) != sorted(d.value for d in ALL_DIMS):
+        # Five dims, all distinct and all tiled: a permutation.  (Set
+        # equality on identity-hashed dims; no per-dim ``.value`` reads.)
+        if len(self.dims) != len(ALL_DIMS) or frozenset(self.dims) != _TILED_DIMS:
             raise ValueError(
                 f"loop order must be a permutation of {format_dims(ALL_DIMS)}, "
                 f"got {format_dims(self.dims)}"

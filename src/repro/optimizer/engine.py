@@ -8,11 +8,13 @@ experiment harness behave that way at scale:
 
 * **Deduplication** — layers are keyed by *search signature* (layer shape
   without its name + full accelerator description + optimizer options).
-  Each unique signature is searched once; the winning configuration is
-  fanned back out to every occurrence, re-evaluated under the occurrence's
-  own layer name so every :class:`~repro.optimizer.search.LayerResult`
-  carries correct metadata.  Modern video backbones repeat the same conv
-  shape dozens of times, so this alone collapses most of a network sweep.
+  Each unique signature is searched once; the winning evaluation is
+  fanned back out to every occurrence and relabelled with the
+  occurrence's own layer, so every
+  :class:`~repro.optimizer.search.LayerResult` carries correct metadata.
+  The models never read a layer's name, so the relabel runs no model.
+  Modern video backbones repeat the same conv shape dozens of times, so
+  this alone collapses most of a network sweep.
 * **Parallel fan-out** — unique-layer searches run across a
   ``concurrent.futures.ProcessPoolExecutor`` when ``parallelism > 1``,
   with a ``parallelism == 1`` in-process fallback.  Results are collected
@@ -182,12 +184,28 @@ def _parse_parallelism(raw: str) -> int:
         ) from None
 
 
+def _parse_choice(variable: str, setting: str, choices: tuple, raw: str) -> str:
+    """``raw`` lower-cased, if it is one of ``choices``; the error names
+    the variable as well as the setting it feeds."""
+    value = raw.lower()
+    if value not in choices:
+        raise ValueError(
+            f"{variable} must be one of {choices} (the {setting} setting), "
+            f"got {raw!r}"
+        )
+    return value
+
+
 def _parse_parallelism_mode(raw: str) -> str:
-    return _check_mode(raw.lower())
+    return _parse_choice(
+        "REPRO_PARALLELISM_MODE", "parallelism_mode", PARALLELISM_MODES, raw
+    )
 
 
 def _parse_cache_backend(raw: str) -> str:
-    return _check_backend(raw.lower())
+    return _parse_choice(
+        "REPRO_CACHE_BACKEND", "cache_backend", CACHE_BACKENDS, raw
+    )
 
 
 def _parse_use_cache(raw: str) -> bool:
@@ -385,11 +403,17 @@ def search_signature(
     technology constants, precision, pinned dataflows, effort knobs) is
     part of the identity, unlike a bare ``arch.name``.
     """
+    return _signature(layer, repr(arch), repr(options))
+
+
+def _signature(layer: ConvLayer, arch_repr: str, options_repr: str) -> dict:
+    """:func:`search_signature` from the machine's and options' ``repr``
+    strings, precomputed (an engine derives them once, not per layer)."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
         "layer": layer_signature(layer, include_name=False),
-        "arch": repr(arch),
-        "options": repr(options),
+        "arch": arch_repr,
+        "options": options_repr,
     }
 
 
@@ -534,8 +558,10 @@ class DiskConfigCache:
             else LocalDirectoryStore(target)
         )
 
-    def contains(self, signature: dict) -> bool:
-        return self.backend.contains(signature_key(signature))
+    # ``key`` on the methods below is ``signature_key(signature)`` when
+    # the caller already holds it (the engine derives each key once).
+    def contains(self, signature: dict, key: str | None = None) -> bool:
+        return self.backend.contains(key or signature_key(signature))
 
     def load(
         self,
@@ -543,16 +569,19 @@ class DiskConfigCache:
         layer: ConvLayer,
         arch: AcceleratorConfig,
         options: OptimizerOptions,
+        key: str | None = None,
     ) -> LayerResult | None:
         """Recall a configuration and re-evaluate it (no search).
 
-        Returns ``None`` on any miss: absent or corrupt record (the file
-        backends quarantine those), format or signature mismatch (stale
-        record), or a configuration the current models reject.  Every
-        outcome feeds the per-store-identity :func:`cache_statistics`.
+        The one model evaluation is the check that the current models
+        still accept the stored configuration.  Returns ``None`` on any
+        miss: absent or corrupt record (the file backends quarantine
+        those), format or signature mismatch (stale record), or a
+        configuration the current models reject.  Every outcome feeds the
+        per-store-identity :func:`cache_statistics`.
         """
         stats = _stats_for(self.backend)
-        payload = self.backend.get(signature_key(signature))
+        payload = self.backend.get(key or signature_key(signature))
         if payload is None:
             stats.misses += 1
             return None
@@ -590,7 +619,9 @@ class DiskConfigCache:
             parallelism_displaced=int(payload.get("parallelism_displaced", 0)),
         )
 
-    def store(self, signature: dict, result: LayerResult) -> bool:
+    def store(
+        self, signature: dict, result: LayerResult, key: str | None = None
+    ) -> bool:
         """Atomically write one search's winning configuration.
 
         The cache is an optimisation, never a correctness requirement: an
@@ -620,7 +651,7 @@ class DiskConfigCache:
             "parallelism_displaced": result.parallelism_displaced,
         }
         stats = _stats_for(self.backend)
-        if self.backend.put(signature_key(signature), payload):
+        if self.backend.put(key or signature_key(signature), payload):
             stats.writes += 1
             return True
         stats.write_failures += 1
@@ -824,6 +855,10 @@ class OptimizerEngine:
             budget_ms=self.budget_ms,
             max_table_bytes=self.max_table_bytes,
         )
+        # The machine and options enter every signature through their
+        # ``repr`` — derived once here, not once per layer.
+        self._arch_repr = repr(arch)
+        self._options_repr = repr(self.options)
         self.parallelism = (
             default_parallelism() if parallelism is None else max(1, parallelism)
         )
@@ -862,8 +897,7 @@ class OptimizerEngine:
         signatures: dict[str, dict] = {}
         representatives: dict[str, ConvLayer] = {}
         for layer in layers:
-            signature = search_signature(layer, self.arch, self.options)
-            key = signature_key(signature)
+            signature, key = self._signed(layer)
             keyed.append((layer, key))
             if key not in signatures:
                 signatures[key] = signature
@@ -887,14 +921,20 @@ class OptimizerEngine:
             if self.use_cache and key in _LAYER_MEMO:
                 resolved[key] = _LAYER_MEMO[key]
                 self.stats.memo_hits += 1
-                if self.disk is not None and not self.disk.contains(signature):
+                if self.disk is not None and not self.disk.contains(
+                    signature, key
+                ):
                     # Write-through: a warm memo still populates a cache
                     # directory configured after the original search.
-                    self.disk.store(signature, resolved[key])
+                    self.disk.store(signature, resolved[key], key)
                 continue
             if self.disk is not None:
                 recalled = self.disk.load(
-                    signature, representatives[key], self.arch, self.options
+                    signature,
+                    representatives[key],
+                    self.arch,
+                    self.options,
+                    key,
                 )
                 if recalled is not None:
                     resolved[key] = recalled
@@ -943,7 +983,7 @@ class OptimizerEngine:
             if self.use_cache:
                 _LAYER_MEMO[key] = result
             if self.disk is not None:
-                self.disk.store(signatures[key], result)
+                self.disk.store(signatures[key], result, key)
 
         # Own searches are published *before* waiting on anyone else's, so
         # two engines claiming disjoint halves of each other's layer sets
@@ -961,25 +1001,30 @@ class OptimizerEngine:
                     if self.use_cache:
                         _LAYER_MEMO[key] = shared
                     if self.disk is not None:
-                        self.disk.store(signatures[key], shared)
+                        self.disk.store(signatures[key], shared, key)
             else:
                 self.stats.coalesced += 1
                 if self.use_cache:
                     _LAYER_MEMO[key] = shared
                 if self.disk is not None and not self.disk.contains(
-                    signatures[key]
+                    signatures[key], key
                 ):
                     # Write-through: the owner persisted into *its* store;
                     # this engine's (possibly different) store must end up
                     # with the record too, exactly as if it had searched.
                     # (Published results are never budget-exhausted — the
                     # owner publishes None for those.)
-                    self.disk.store(signatures[key], shared)
+                    self.disk.store(signatures[key], shared, key)
             resolved[key] = shared
 
-        return tuple(
-            _rebind(resolved[key], layer, self.arch) for layer, key in keyed
-        )
+        return tuple(_rebind(resolved[key], layer) for layer, key in keyed)
+
+    def _signed(self, layer: ConvLayer) -> tuple[dict, str]:
+        """``layer``'s search signature and its key, derived once —
+        identical to ``signature_key(search_signature(layer, arch,
+        options))``, so existing stores still recall."""
+        signature = _signature(layer, self._arch_repr, self._options_repr)
+        return signature, signature_key(signature)
 
     def _search(
         self, pending: Sequence[str], representatives: dict[str, ConvLayer]
@@ -1011,7 +1056,7 @@ class OptimizerEngine:
     ) -> NetworkResult:
         """Network sweep with a content-keyed whole-network memo on top."""
         layers = tuple(layers)
-        memo_key = (repr(self.arch), self.options, layers)
+        memo_key = (self._arch_repr, self.options, layers)
         if self.use_cache and memo_key in _NETWORK_MEMO:
             cached = _NETWORK_MEMO[memo_key]
             self.stats.requested += len(layers)
@@ -1040,35 +1085,40 @@ class OptimizerEngine:
             return
         seen: set[str] = set()
         for layer_result in cached.layers:
-            signature = search_signature(
-                layer_result.layer, self.arch, self.options
-            )
-            key = signature_key(signature)
+            signature, key = self._signed(layer_result.layer)
             if key in seen:
                 continue
             seen.add(key)
-            if not self.disk.contains(signature):
-                self.disk.store(signature, layer_result)
+            if not self.disk.contains(signature, key):
+                self.disk.store(signature, layer_result, key)
 
 
-def _rebind(
-    result: LayerResult, layer: ConvLayer, arch: AcceleratorConfig
-) -> LayerResult:
+def _rebind(result: LayerResult, layer: ConvLayer) -> LayerResult:
     """Fan a shared search result out to one occurrence of the shape.
 
     When the occurrence *is* the searched layer the result passes through
-    untouched; otherwise the winning configuration is re-evaluated under
-    the occurrence's own layer (same shape, different name), so every
-    evaluation in a :class:`NetworkResult` names the layer it belongs to.
-    One model evaluation — not a search.
+    untouched; otherwise it is relabelled: every place the evaluation
+    holds the layer — the dataflow's tile hierarchy and the traffic
+    report (which carries both the layer and the dataflow) — is replaced
+    with the occurrence's own layer, so every evaluation in a
+    :class:`NetworkResult` names the layer it belongs to.  No model runs:
+    the occurrence has the searched layer's name-free signature, and the
+    models read only the shape, so ``evaluate`` of the rebound dataflow
+    would return exactly this (the rebind contract in docs/INVARIANTS.md).
     """
     if result.layer == layer:
         return result
-    dataflow = result.best.dataflow
-    rebound = dataclasses.replace(
-        dataflow, hierarchy=dataclasses.replace(dataflow.hierarchy, layer=layer)
+    best = result.best
+    dataflow = dataclasses.replace(
+        best.dataflow,
+        hierarchy=dataclasses.replace(best.dataflow.hierarchy, layer=layer),
     )
-    return dataclasses.replace(result, layer=layer, best=evaluate(rebound, arch))
+    traffic = dataclasses.replace(best.traffic, layer=layer, dataflow=dataflow)
+    return dataclasses.replace(
+        result,
+        layer=layer,
+        best=dataclasses.replace(best, dataflow=dataflow, traffic=traffic),
+    )
 
 
 def optimize_layer(

@@ -128,6 +128,13 @@ class OptimizerOptions:
                 f"unknown objective {self.objective!r}; "
                 f"choose from {sorted(OBJECTIVES)}"
             )
+        # A beam or candidate list of zero (or a negative slice) has no
+        # meaning; without this check 0 surfaces as a misleading
+        # CapacityError and -1 silently drops the last beam entry.
+        for field in ("max_l2_candidates", "keep_allocations", "keep_per_level"):
+            value = getattr(self, field)
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value!r}")
         if self.search_order not in ("best_first", "legacy"):
             raise ValueError(
                 f"unknown search_order {self.search_order!r}; "

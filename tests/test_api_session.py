@@ -303,6 +303,27 @@ class TestEnvParsing:
         _, resolve = _ENV_CASES[variable]
         assert _raised(SessionConfig.from_env) == _raised(resolve)
 
+    @pytest.mark.parametrize(
+        ("variable", "field"),
+        [
+            ("REPRO_CACHE_BACKEND", "cache_backend"),
+            ("REPRO_PARALLELISM_MODE", "parallelism_mode"),
+        ],
+    )
+    def test_choice_errors_name_the_variable_and_the_field(
+        self, monkeypatch, variable, field
+    ):
+        bad = _ENV_CASES[variable][0]
+        monkeypatch.setenv(variable, bad)
+        for call in (SessionConfig.from_env, _ENV_CASES[variable][1]):
+            message = _raised(call)
+            assert message.startswith(f"{variable} must be one of ")
+            assert f"the {field} setting" in message
+            assert repr(bad) in message
+        # A value set in code names only the field it was set on.
+        message = _raised(lambda: SessionConfig(**{field: bad}))
+        assert message.startswith(f"{field} must be one of ")
+
 # ----------------------------------------------------------------------
 # Scoping
 # ----------------------------------------------------------------------

@@ -1,13 +1,22 @@
 """Tests for the parallel, deduplicated, persistent optimizer engine."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.core.evaluate import evaluate
 from repro.core.layer import ConvLayer
 from repro.optimizer.engine import (
     DiskConfigCache,
     OptimizerEngine,
+    _rebind,
+    cache_statistics,
     clear_memory_caches,
     default_parallelism,
     optimize_layer,
@@ -22,6 +31,7 @@ from repro.optimizer.search import (
     objective_lower_bound,
     optimize_network,
 )
+from repro.workloads.networks import build_network, network_names
 
 FAST = OptimizerOptions.fast()
 
@@ -147,6 +157,82 @@ class TestDeduplication:
         assert results[2].best.dataflow.hierarchy.tiles == (
             direct.best.dataflow.hierarchy.tiles
         )
+
+
+class TestRelabelRebind:
+    """Rebind is a relabel: the models never read a layer's name, so an
+    occurrence of a searched shape gets the searched evaluation with its
+    own layer put in, and no model runs (docs/INVARIANTS.md)."""
+
+    def test_relabel_equals_evaluation_for_every_registered_duplicate(
+        self, morph_arch
+    ):
+        groups: dict[str, list[ConvLayer]] = {}
+        for name in network_names():
+            for layer in build_network(name).layers:
+                key = signature_key(search_signature(layer, morph_arch, FAST))
+                groups.setdefault(key, []).append(layer)
+        checked = 0
+        for layers in groups.values():
+            others = [layer for layer in layers[1:] if layer != layers[0]]
+            if not others:
+                continue
+            searched = LayerOptimizer(morph_arch, FAST).optimize(layers[0])
+            dataflow = searched.best.dataflow
+            for other in others:
+                rebound = dataclasses.replace(
+                    dataflow,
+                    hierarchy=dataclasses.replace(dataflow.hierarchy, layer=other),
+                )
+                relabelled = _rebind(searched, other)
+                assert relabelled.layer == other
+                # Whole-Evaluation equality: a relabel that forgot, say,
+                # traffic.dataflow would still report the right winner and
+                # score, so comparing those alone is not enough.
+                assert relabelled.best == evaluate(rebound, morph_arch), (
+                    other.name
+                )
+                checked += 1
+        assert checked >= 100
+
+    def test_warm_sweep_evaluates_once_per_disk_hit(
+        self, morph_arch, tmp_path, monkeypatch
+    ):
+        from repro.optimizer import engine as engine_module
+
+        networks = [build_network("c3d"), build_network("two_stream")]
+
+        def sweep():
+            engines = [
+                OptimizerEngine(morph_arch, FAST, cache_dir=tmp_path)
+                for _ in networks
+            ]
+            for engine, network in zip(engines, networks):
+                engine.optimize_network(network.layers, network_name=network.name)
+            return engines
+
+        sweep()  # cold: fills the store
+        clear_cache()
+        calls = []
+        real_evaluate = engine_module.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].layer.name)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "evaluate", counted)
+        identity = DiskConfigCache(tmp_path).backend.identity()
+        before = cache_statistics()[identity].recall_reevals
+        engines = sweep()
+        disk_hits = sum(engine.stats.disk_hits for engine in engines)
+        requested = sum(engine.stats.requested for engine in engines)
+        assert sum(engine.stats.searched for engine in engines) == 0
+        assert disk_hits == sum(engine.stats.unique for engine in engines) - sum(
+            engine.stats.memo_hits for engine in engines
+        )
+        assert len(calls) == disk_hits < requested
+        # The recall's own check of each record is unchanged.
+        assert cache_statistics()[identity].recall_reevals - before == disk_hits
 
 
 class TestParallelEngine:
@@ -289,6 +375,56 @@ class TestSignatures:
         assert base != signature_key(
             search_signature(LAYER_A, morph_arch, FAST.with_(objective="edp"))
         )
+
+
+    def test_engine_keys_are_the_public_signature_keys(
+        self, morph_arch, tmp_path
+    ):
+        """The engine derives each key once, from cached ``repr`` strings; the
+        keys must stay byte-identical so existing stores still recall."""
+        engine = OptimizerEngine(morph_arch, FAST, cache_dir=tmp_path)
+        engine.optimize_layers(NETWORK)
+        public = {
+            layer.name: signature_key(
+                search_signature(layer, morph_arch, engine.options)
+            )
+            for layer in NETWORK
+        }
+        for layer in NETWORK:
+            signature, key = engine._signed(layer)
+            assert signature == search_signature(layer, morph_arch, FAST)
+            assert key == public[layer.name]
+        assert set(engine.disk.backend.keys()) == set(public.values())
+
+    def test_search_is_independent_of_the_hash_seed(self):
+        """Dims and data types hash by identity; str hashes vary with
+        PYTHONHASHSEED.  Neither may change a search's winner or score."""
+        script = (
+            "import json\n"
+            "from repro import LayerOptimizer, OptimizerOptions, morph\n"
+            "from repro.core.layer import ConvLayer\n"
+            "from repro.optimizer.config_store import dataflow_to_json\n"
+            "layer = ConvLayer('b', h=7, w=7, c=64, f=2, k=64, r=3, s=3, t=3,"
+            " pad_h=1, pad_w=1, pad_f=1)\n"
+            "result = LayerOptimizer(morph(), OptimizerOptions.fast())"
+            ".optimize(layer)\n"
+            "print(json.dumps([dataflow_to_json(result.best.dataflow),"
+            " result.score.hex(), result.evaluated]))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            outputs.append(json.loads(run.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestNetworkMemo:

@@ -41,6 +41,28 @@ class TestOptions:
         with pytest.raises(ValueError, match="objective"):
             OptimizerOptions(objective="speed!")
 
+    @pytest.mark.parametrize(
+        "field", ["max_l2_candidates", "keep_allocations", "keep_per_level"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_empty_effort_knobs(self, field, value):
+        # 0 used to surface as a misleading CapacityError from the search,
+        # and -1 silently sliced the last beam entry away.
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            OptimizerOptions(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            FAST.with_(**{field: value})
+
+    def test_effort_knobs_accept_one(self):
+        from repro.arch.accelerator import morph
+
+        arch = morph()
+        minimal = FAST.with_(
+            max_l2_candidates=1, keep_allocations=1, keep_per_level=1
+        )
+        ev = LayerOptimizer(arch, minimal).optimize(LAYER).best
+        assert arch.hierarchy_fits(LAYER, ev.dataflow.hierarchy.tiles)
+
     def test_fast_is_coarser_than_default(self):
         assert OptimizerOptions.fast().max_l2_candidates < (
             OptimizerOptions().max_l2_candidates
