@@ -353,18 +353,21 @@ def _boundary_fill_columns(
     seq_trips,  #: (5, N) sequential rounds (trips / parallel degree)
     dim_at,  #: (N, 5) dim code at each loop position, outermost first
     pos_of,  #: (N, 5) loop position of each dim code
+    fetches: bool = True,
 ) -> dict[DataType, tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
     """Per data type: ``(has_relevant_loop, run_fetches, run_bytes)``.
 
     Columnar re-expression of ``_run_fill_bytes_inputs`` /
     ``_run_fill_bytes_dense`` plus the fetch-multiplicity rule, for ONE
     execution of the boundary nest.  Degenerate loops are dropped via the
-    suffix masks described in the module docstring.
+    suffix masks described in the module docstring.  ``fetches=False``
+    skips the fetch multiplicity (``run_fetches`` is then ``None``) for
+    callers that need the bytes alone.
     """
     n = parent.shape[-1]
     cand = np.arange(n)
     trips_at = trips[dim_at.T, cand]  # (5 positions, N)
-    seq_at = seq_trips[dim_at.T, cand]
+    seq_at = seq_trips[dim_at.T, cand] if fetches else None
 
     out: dict[DataType, tuple] = {}
     for data_type in ALL_DATA_TYPES:
@@ -387,8 +390,10 @@ def _boundary_fill_columns(
         # irrelevant dims) over every loop at or outside the innermost
         # relevant one.  Degenerate loops multiply by 1 exactly as if
         # dropped from the order.
-        factors = np.where(rel_at, trips_at, seq_at)
-        run_fetches = np.where(suffix_incl, factors, 1).prod(axis=0)
+        run_fetches = None
+        if fetches:
+            factors = np.where(rel_at, trips_at, seq_at)
+            run_fetches = np.where(suffix_incl, factors, 1).prod(axis=0)
 
         elem = precision.bytes_of(data_type)
         if data_type is DataType.INPUTS:
@@ -468,10 +473,11 @@ def boundary_fill_bytes_sum(
     if order_index is None:
         orders, order_index = (orders,), np.zeros(n, dtype=np.intp)
     dim_tbl, pos_tbl = _order_tables(tuple(orders))
-    dim_at = dim_tbl[order_index]
-    pos_of = pos_tbl[order_index]
+    dim_at = np.take(dim_tbl, order_index, axis=0)
+    pos_of = np.take(pos_tbl, order_index, axis=0)
     profile = _boundary_fill_columns(
-        layer, precision, parent, child, trips, trips, dim_at, pos_of
+        layer, precision, parent, child, trips, trips, dim_at, pos_of,
+        fetches=False,
     )
     region = _region_bytes_columns(layer, precision, parent)
     total = np.zeros(n, dtype=np.int64)

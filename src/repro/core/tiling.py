@@ -322,7 +322,23 @@ class TileHierarchy:
     def __post_init__(self) -> None:
         if not self.tiles:
             raise ValueError("at least one tile level required")
-        bound = TileShape.full(self.layer)
+        layer = self.layer
+        if isinstance(self.tiles, tuple):
+            # Already normalised (every dataclasses.replace of a hierarchy,
+            # every decoded record): keep the given tuple.
+            w, h, c, k, f = (
+                layer.out_w, layer.out_h, layer.c, layer.k, layer.out_f
+            )
+            for tile in self.tiles:
+                if (
+                    tile.w > w or tile.h > h or tile.c > c
+                    or tile.k > k or tile.f > f
+                ):
+                    break
+                w, h, c, k, f = tile.w, tile.h, tile.c, tile.k, tile.f
+            else:
+                return
+        bound = TileShape.full(layer)
         normalised = []
         for tile in self.tiles:
             bound = tile.clipped(bound)

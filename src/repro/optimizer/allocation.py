@@ -11,23 +11,32 @@ maximum, which we extend with geometric midpoints and a greedy
 "halve-the-biggest-footprint" ladder so that layers whose corners are all
 infeasible still allocate well.
 
-There is one halving-ladder loop (:func:`candidate_sub_tiles`) and one
-beam loop (:func:`allocate_hierarchy`).  The beam loop is level-synchronous
-over a tuple of inner loop orders: candidate generation does not depend
-on the order, so each level gathers the candidates of every surviving
-order's beams once and scores all (order, parent, child) rows in one
-call.  Scoring and fitting come from a hook chosen by ``vectorize``: the
-scalar hook calls the reference kernels (:func:`f_reuse`,
-``_footprint_gradient``, ``AcceleratorConfig.tile_fits``) per tile, and
-the columnar hook answers the same questions with batched NumPy passes
-(bit-identical scores and masks).  NumPy is imported only inside the
-columnar hook, so the scalar path runs without it.
+There is one halving-ladder loop (:func:`_generate`) and one beam loop
+(:func:`allocate_hierarchy`).  Candidates depend only on a parent's
+*upper* extents (the parent capped by its parallel split), so they are
+memoised by ``(level, upper)`` and generated for all of a level's new
+uppers at once: the ladders step in lockstep and every step asks one
+capacity question for all of them.  The beam loop is level-synchronous
+over every (parallelism, inner order) pair: candidate generation does
+not depend on the order, so each level gathers the distinct (order,
+parent, upper) segments of every surviving beam and scores their rows in
+one call.  Beams are carried as per-level extent tuples; ``TileShape``
+objects are built only when a caller reads a beam.  Scoring and fitting
+come from a hook chosen by ``vectorize``: the scalar hook calls the
+reference kernels (:func:`f_reuse`, ``_footprint_gradient``,
+``AcceleratorConfig.tile_fits``) per tile, and the columnar hook answers
+the same questions with batched NumPy passes (bit-identical scores and
+masks).  NumPy is imported only inside the columnar hook, so the scalar
+path runs without it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 
 from repro.arch.accelerator import AcceleratorConfig
 from repro.core.access_model import boundary_fill_profile
@@ -35,6 +44,9 @@ from repro.core.dims import ALL_DIMS, Dim
 from repro.core.layer import ConvLayer
 from repro.core.loopnest import LoopOrder
 from repro.core.tiling import TileShape
+
+#: A tile's extents by position (ALL_DIMS order).
+Extents = tuple[int, int, int, int, int]
 
 
 def f_reuse(
@@ -55,29 +67,26 @@ def f_reuse(
     return parent.maccs(layer) / max(fill_bytes, 1)
 
 
+@functools.lru_cache(maxsize=4096)
 def _mid(lo: int, hi: int) -> int:
     """Geometric midpoint, biased up, clamped to [lo, hi]."""
     return max(lo, min(hi, round(math.sqrt(lo * hi))))
 
 
-def _extents(tile: TileShape) -> tuple[int, int, int, int, int]:
+def _extents(tile: TileShape) -> Extents:
     """A tile's extents by position (ALL_DIMS order)."""
     return (tile.w, tile.h, tile.c, tile.k, tile.f)
 
 
-def _seed_candidates(
-    parent: TileShape, cap: TileShape | None
-) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
-    """Per-position maximum extents plus the corner/midpoint candidate seed.
+def _seed_candidates(upper: Extents, ladder: list[Extents]) -> list[Extents]:
+    """The corner/midpoint seed plus the halving ``ladder``, in the
+    iteration order of the Python set they are inserted into.
 
-    Its insertion sequence, extended only by the halving ladder of
-    :func:`candidate_sub_tiles`, fixes the set's iteration order and so
-    the downstream tie-break order; both allocator hooks see the same
-    sequence because the ladder loop itself is shared.
+    That order is the downstream tie-break order.  It is a function of
+    ``upper`` alone (ints and int tuples hash the same in every process),
+    so the ``(level, upper)`` candidate memo fixes it once per upper and
+    both allocator hooks see the same sequence.
     """
-    upper = _extents(parent)
-    if cap is not None:
-        upper = tuple(map(min, upper, _extents(cap)))
     # 2^D corners (Section V-C), each dim at its minimum 1 or its maximum.
     candidates = set(itertools.product(*((1, hi) for hi in upper)))
 
@@ -86,35 +95,65 @@ def _seed_candidates(
     candidates.add(mid)
     for i, hi in enumerate(upper):
         candidates.add(mid[:i] + (hi,) + mid[i + 1:])
-    return upper, candidates
+    candidates.update(ladder)
+    return list(candidates)
 
 
-def _tile_columns(tiles: list[TileShape]):
-    """(5, N) int64 columns of a tile list (ALL_DIMS order)."""
+def _columns(extents: list[Extents]):
+    """(5, N) int64 columns of an extents list (ALL_DIMS order)."""
     import numpy as np
 
-    return np.array(
-        [
-            [tile.w for tile in tiles],
-            [tile.h for tile in tiles],
-            [tile.c for tile in tiles],
-            [tile.k for tile in tiles],
-            [tile.f for tile in tiles],
-        ],
-        dtype=np.int64,
+    flat = np.fromiter(
+        itertools.chain.from_iterable(extents), dtype=np.int64,
+        count=5 * len(extents),
     )
+    return flat.reshape(-1, 5).T.copy()
 
 
 class _Candidates:
-    """The feasible sub-tiles of one ``(level, parent, cap)``: a
-    candidate-memo entry.  ``columns`` holds their (5, N) columns once the
-    columnar hook has built them, so each entry is lowered at most once."""
+    """The feasible sub-tiles of one ``(level, upper)``: a candidate-memo
+    entry.  ``columns`` holds their (5, N) columns once the columnar hook
+    has built them, so each entry is lowered at most once."""
 
-    __slots__ = ("tiles", "columns")
+    __slots__ = ("extents", "columns")
 
-    def __init__(self, tiles: list[TileShape], columns=None) -> None:
-        self.tiles = tiles
-        self.columns = columns
+    def __init__(self, extents: list[Extents]) -> None:
+        self.extents = extents
+        self.columns = None
+
+
+def _tiles(beam: tuple[Extents, ...]) -> tuple[TileShape, ...]:
+    return tuple(TileShape(*extents) for extents in beam)
+
+
+class _Beams(Sequence):
+    """One (parallelism, inner order) pair's beams, best first.
+
+    Items are tuples of :class:`TileShape`, one per level, built when
+    read; ``extents`` holds the same beams as per-level extent tuples,
+    which the columnar evaluator lowers directly.
+    """
+
+    __slots__ = ("extents",)
+
+    def __init__(self, extents: list[tuple[Extents, ...]]) -> None:
+        self.extents = extents
+
+    def __len__(self) -> int:
+        return len(self.extents)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_tiles(beam) for beam in self.extents[index]]
+        return _tiles(self.extents[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Beams):
+            return self.extents == other.extents
+        return isinstance(other, list) and list(self) == other
+
+    def __repr__(self) -> str:
+        return f"_Beams({list(self)!r})"
 
 
 def _footprint_gradient(
@@ -136,104 +175,137 @@ class _ScalarHooks:
     """Per-tile scoring and fitting: the reference kernels."""
 
     @staticmethod
-    def scores(layer, arch, orders, segments) -> list[float]:
-        """``f_reuse`` of every row; ``segments`` lists ``(order index,
-        parent, candidates)``, each contributing one row per candidate."""
+    def top(layer, arch, orders, segments, keep: int) -> list[list[tuple]]:
+        """Per segment, its best ``keep`` candidates as ``(f_reuse,
+        extents)``, by descending score; ties keep candidate order.
+
+        ``segments`` lists ``(order index, parent extents, candidates)``;
+        each candidate of a segment is one row scored under that order
+        and parent.
+        """
+        picks = []
+        for o, parent, entry in segments:
+            parent_tile = TileShape(*parent)
+            scores = [
+                f_reuse(layer, parent_tile, TileShape(*child), orders[o], arch)
+                for child in entry.extents
+            ]
+            picks.append([
+                (scores[i], entry.extents[i])
+                for i in _ranked(range(len(scores)), scores)[:keep]
+            ])
+        return picks
+
+    @staticmethod
+    def heaviest(layer, arch, tiles: list[list[int]]) -> list[int]:
+        """Per tile, the first dimension whose halving frees most bytes."""
+        heaviest = []
+        for extents in tiles:
+            tile = TileShape(*extents)
+            heaviest.append(max(
+                range(len(ALL_DIMS)),
+                key=lambda d: _footprint_gradient(layer, tile, ALL_DIMS[d], arch),
+            ))
+        return heaviest
+
+    @staticmethod
+    def fits(layer, arch, level_index: int, tiles) -> list[bool]:
         return [
-            f_reuse(layer, parent, child, orders[o], arch)
-            for o, parent, entry in segments
-            for child in entry.tiles
+            arch.tile_fits(level_index, layer, TileShape(*extents))
+            for extents in tiles
         ]
-
-    @staticmethod
-    def heaviest(layer, arch, extents: list[int]) -> int:
-        tile = TileShape(*extents)
-        return max(
-            range(len(ALL_DIMS)),
-            key=lambda d: _footprint_gradient(layer, tile, ALL_DIMS[d], arch),
-        )
-
-    @staticmethod
-    def feasible(layer, arch, level_index: int, tiles: list[TileShape]):
-        return _Candidates(
-            [tile for tile in tiles if arch.tile_fits(level_index, layer, tile)]
-        )
 
 
 class _ColumnarHooks:
     """The same answers from batched NumPy passes over many tiles."""
 
     @staticmethod
-    def scores(layer, arch, orders, segments) -> list[float]:
-        """Columnar ``f_reuse`` over all rows of ``segments`` at once.
+    def top(layer, arch, orders, segments, keep: int) -> list[list[tuple]]:
+        """Columnar ``f_reuse`` over all rows of ``segments`` at once, and
+        one stable sort per segment by descending score for the ranking.
 
         Same equations through
         :func:`repro.core.batch.boundary_fill_bytes_sum`, each row under
         its own order; the Python floats returned are bit-identical to
-        calling :func:`f_reuse` per row.
+        calling :func:`f_reuse` per row, and the picks are the scalar
+        hook's.
         """
         import numpy as np
 
         from repro.core.batch import boundary_fill_bytes_sum
 
         counts = []
-        children = []
         for _, _, entry in segments:
             if entry.columns is None:
-                entry.columns = _tile_columns(entry.tiles)
-            counts.append(len(entry.tiles))
-            children.append(entry.columns)
+                entry.columns = _columns(entry.extents)
+            counts.append(len(entry.extents))
         parents = np.repeat(
-            np.array(
-                [_extents(parent) for _, parent, _ in segments], dtype=np.int64
-            ).T,
-            counts,
-            axis=1,
+            _columns([parent for _, parent, _ in segments]), counts, axis=1
         )
         order_index = np.repeat(
             np.array([o for o, _, _ in segments], dtype=np.intp), counts
         )
+        children = np.concatenate(
+            [entry.columns for _, _, entry in segments], axis=1
+        )
         maccs = parents.prod(axis=0) * (layer.r * layer.s * layer.t)
         fill_bytes = boundary_fill_bytes_sum(
-            layer, arch.precision, parents, np.concatenate(children, axis=1),
-            orders, order_index,
+            layer, arch.precision, parents, children, orders, order_index,
         )
-        return (maccs / np.maximum(fill_bytes, 1)).tolist()
+        scores = maccs / np.maximum(fill_bytes, 1)
+        # One row of candidate slots per segment, padded with -inf; a
+        # stable sort of each row by descending score keeps ties in
+        # candidate order.
+        segment = np.repeat(np.arange(len(segments)), counts)
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(len(scores)) - np.repeat(starts, counts)
+        padded = np.full((len(segments), max(counts)), -np.inf)
+        padded[segment, slot] = scores
+        ranked = np.argsort(-padded, axis=1, kind="stable")[:, :keep]
+        top_scores = np.take_along_axis(padded, ranked, axis=1).tolist()
+        ranked = ranked.tolist()
+        picks = []
+        for (_, _, entry), count, best, rows in zip(
+            segments, counts, top_scores, ranked
+        ):
+            n = min(count, keep)  # padding slots sort last
+            picks.append(list(zip(
+                best[:n], map(entry.extents.__getitem__, rows[:n])
+            )))
+        return picks
 
     @staticmethod
-    def heaviest(layer, arch, extents: list[int]) -> int:
-        """All five halving gradients from one columnar footprint pass."""
+    def heaviest(layer, arch, tiles: list[list[int]]) -> list[int]:
+        """All five halving gradients of every tile from one columnar
+        footprint pass."""
         import numpy as np
 
         from repro.core.batch import tile_bytes_columns
 
-        probes = np.empty((5, 6), dtype=np.int64)
-        probes[:, 0] = extents
+        extents = _columns(tiles)  # (5, P)
+        probes = np.repeat(extents[:, :, None], 6, axis=2)  # (5, P, 6)
         for d in range(5):
-            probes[:, d + 1] = extents
-            probes[d, d + 1] = -(-extents[d] // 2)
-        bytes_by_type = tile_bytes_columns(layer, arch.precision, probes)
-        totals = sum(bytes_by_type[dt] for dt in bytes_by_type)
-        gradients = [
-            -1 if extents[d] == 1 else int(totals[0] - totals[d + 1])
-            for d in range(5)
-        ]
-        return int(np.argmax(gradients))  # first max, like max()
+            probes[d, :, d + 1] = -(-extents[d] // 2)
+        bytes_by_type = tile_bytes_columns(
+            layer, arch.precision, probes.reshape(5, -1)
+        )
+        totals = sum(bytes_by_type[dt] for dt in bytes_by_type).reshape(-1, 6)
+        gradients = totals[:, :1] - totals[:, 1:]  # (P, 5)
+        gradients[extents.T == 1] = -1
+        return np.argmax(gradients, axis=1).tolist()  # first max, like max()
 
     @staticmethod
-    def feasible(layer, arch, level_index: int, tiles: list[TileShape]):
+    def fits(layer, arch, level_index: int, tiles) -> list[bool]:
         from repro.core.batch import tile_fits_mask
 
-        columns = _tile_columns(tiles)
-        fits = tile_fits_mask(arch, level_index, layer, columns)
-        return _Candidates(
-            [tile for tile, ok in zip(tiles, fits.tolist()) if ok],
-            columns[:, fits],
-        )
+        return tile_fits_mask(arch, level_index, layer, _columns(tiles)).tolist()
 
 
 def _hooks(vectorize: bool):
     return _ColumnarHooks if vectorize else _ScalarHooks
+
+
+_score_of = operator.itemgetter(0)
 
 
 def _ranked(indices, scores) -> list[int]:
@@ -241,39 +313,78 @@ def _ranked(indices, scores) -> list[int]:
     return sorted(indices, key=scores.__getitem__, reverse=True)
 
 
-def _candidates(
+def _generate(
     layer: ConvLayer,
     arch: AcceleratorConfig,
     level_index: int,
-    parent: TileShape,
-    cap: TileShape | None,
+    uppers: list[Extents],
+    hooks,
+) -> list[_Candidates]:
+    """The feasible candidates of each upper extent tuple.
+
+    Halving ladder: from the largest allowed shape, repeatedly halve the
+    dimension contributing most footprint until the tile fits.  All
+    ladders step together, so each step is one capacity question and one
+    gradient question over every ladder still descending.
+    """
+    current = [list(upper) for upper in uppers]
+    ladders: list[list[Extents]] = [[] for _ in uppers]
+    active = list(range(len(uppers)))
+    for _ in range(40):
+        for j in active:
+            ladders[j].append(tuple(current[j]))
+        fits = hooks.fits(layer, arch, level_index, [current[j] for j in active])
+        active = [j for j, ok in zip(active, fits) if not ok]
+        if not active:
+            break
+        heaviest = hooks.heaviest(layer, arch, [current[j] for j in active])
+        stepped = []
+        for j, d in zip(active, heaviest):
+            if current[j][d] > 1:
+                current[j][d] = -(-current[j][d] // 2)
+                stepped.append(j)
+        active = stepped
+        if not active:
+            break
+    seeds = [
+        _seed_candidates(upper, ladder) for upper, ladder in zip(uppers, ladders)
+    ]
+    fits = iter(hooks.fits(
+        layer, arch, level_index, [extents for seed in seeds for extents in seed]
+    ))
+    return [
+        _Candidates([extents for extents, ok in zip(seed, fits) if ok])
+        for seed in seeds
+    ]
+
+
+def _entries(
+    layer: ConvLayer,
+    arch: AcceleratorConfig,
+    level_index: int,
+    uppers: list[Extents],
     hooks,
     memo: dict | None,
-) -> _Candidates:
-    """The candidate-memo entry of :func:`candidate_sub_tiles`."""
-    key = (level_index, parent, cap)
-    if memo is not None and key in memo:
-        return memo[key]
-    upper, candidates = _seed_candidates(parent, cap)
+) -> list[_Candidates]:
+    """The candidate-memo entries of ``uppers`` at one level; the missing
+    ones are generated together."""
+    if memo is None:
+        memo = {}
+    missing = list(dict.fromkeys(
+        upper for upper in uppers if (level_index, upper) not in memo
+    ))
+    if missing:
+        generated = _generate(layer, arch, level_index, missing, hooks)
+        for upper, entry in zip(missing, generated):
+            memo[level_index, upper] = entry
+    return [memo[level_index, upper] for upper in uppers]
 
-    # Halving ladder: from the largest allowed shape, repeatedly halve the
-    # dimension contributing most footprint until the tile fits.
-    current = list(upper)
-    for _ in range(40):
-        candidates.add(tuple(current))
-        if arch.tile_fits(level_index, layer, TileShape(*current)):
-            break
-        heaviest = hooks.heaviest(layer, arch, current)
-        if current[heaviest] == 1:
-            break
-        current[heaviest] = math.ceil(current[heaviest] / 2)
 
-    entry = hooks.feasible(
-        layer, arch, level_index, [TileShape(*extents) for extents in candidates]
-    )
-    if memo is not None:
-        memo[key] = entry
-    return entry
+def _upper(parent: TileShape, cap: TileShape | None) -> Extents:
+    upper = _extents(parent)
+    if cap is not None:
+        upper = tuple(map(min, upper, _extents(cap)))
+    return upper
 
 
 def candidate_sub_tiles(
@@ -291,17 +402,19 @@ def candidate_sub_tiles(
     ``cap`` bounds each dimension's maximum from above; the search uses it
     to guarantee enough sub-tiles exist along parallelised dims for every
     PE/cluster to receive work (tile sizes and parallelism are co-designed,
-    Section V-A's joint configuration vector).
+    Section V-A's joint configuration vector).  Every candidate fits
+    within ``parent``.
 
     ``vectorize=True`` computes the ladder's footprint gradients and the
-    final capacity filter in columnar passes (same candidates, same
-    order).  Since the result depends only on ``(level_index, parent,
-    cap)``, an optional ``memo`` dict shares it across the blocks of a
-    search.
+    capacity filter in columnar passes (same candidates, same order).
+    Since the result depends only on ``level_index`` and the parent's
+    extents capped by ``cap``, an optional ``memo`` dict shares it across
+    the blocks of a search.
     """
-    return _candidates(
-        layer, arch, level_index, parent, cap, _hooks(vectorize), memo
-    ).tiles
+    [entry] = _entries(
+        layer, arch, level_index, [_upper(parent, cap)], _hooks(vectorize), memo
+    )
+    return [TileShape(*extents) for extents in entry.extents]
 
 
 def allocate_level(
@@ -323,15 +436,18 @@ def allocate_level(
     descending order) are identical to the per-tile path.
     """
     hooks = _hooks(vectorize)
-    entry = _candidates(layer, arch, level_index, parent, cap, hooks, memo)
-    feasible = entry.tiles
-    if not feasible:
+    [entry] = _entries(
+        layer, arch, level_index, [_upper(parent, cap)], hooks, memo
+    )
+    if not entry.extents:
         raise ValueError(
             f"no feasible sub-tile at level {level_index} of {arch.name} "
             f"for {layer.name} (parent {parent.describe()})"
         )
-    scores = hooks.scores(layer, arch, (inner_order,), [(0, parent, entry)])
-    return [feasible[i] for i in _ranked(range(len(feasible)), scores)[:keep]]
+    [picks] = hooks.top(
+        layer, arch, (inner_order,), [(0, _extents(parent), entry)], keep
+    )
+    return [TileShape(*extents) for _, extents in picks]
 
 
 def parallel_caps(
@@ -359,78 +475,109 @@ def allocate_hierarchy(
     *,
     keep_per_level: int = 4,
     level_degrees: tuple[dict[Dim, int], ...] | None = None,
+    per_parallelism: Sequence[tuple[dict[Dim, int], ...] | None] | None = None,
     vectorize: bool = False,
     candidate_memo: dict | None = None,
-) -> list[list[tuple[TileShape, ...]] | None]:
+) -> list:
     """Candidate full hierarchies below a chosen last-level tile, per
     inner loop order.
 
-    Returns one entry per order of ``inner_orders``: that order's beams,
-    or ``None`` when some level leaves it no feasible sub-tile.  Called
-    level by level from ``N-1`` down to 0 as in the paper; at each level
-    the best few allocations are kept and expanded (beam search).
+    Returns one entry per order of ``inner_orders``: that order's beams
+    (tuples of one :class:`TileShape` per level, best first), or ``None``
+    when some level leaves it no feasible sub-tile.  Called level by level
+    from ``N-1`` down to 0 as in the paper; at each level the best few
+    allocations are kept and expanded (beam search).
     ``level_degrees[i]`` gives the parallel split applied when tiles of
     level ``i`` are distributed (clusters at the middle level, PEs at the
     innermost), which caps tile extents so every worker gets a sub-tile.
+    ``per_parallelism`` instead lists the ``level_degrees`` of several
+    parallelisms; the result is then one per-order list per parallelism,
+    indexed ``[p][i]``.
 
-    The beams of all orders advance together.  Per level, the candidate
-    sub-tiles of each distinct parent are generated once
-    (:func:`candidate_sub_tiles`, sharing ``candidate_memo``) and every
-    (order, beam, candidate) row is scored in one call — ``f_reuse`` per
-    row, or one batched evaluation with ``vectorize=True`` (bit-identical
-    scores).  Orders never interact: each beam keeps its top
-    ``keep_per_level`` children (:func:`allocate_level`), then each
-    order's survivors are ranked by the same score with a stable sort, so
-    entry ``i`` equals a call with ``(inner_orders[i],)`` alone.
-    Candidates never exceed their parent (the generator bounds them by
-    it), so a child's own score is also its beam's last-boundary score.
+    The beams of all (parallelism, order) pairs advance together.  Per
+    level, each distinct (order, parent, upper extents) segment is scored
+    once, all segments in one call — ``f_reuse`` per row, or one batched
+    evaluation with ``vectorize=True`` (bit-identical scores) — over the
+    candidates of its upper extents (:func:`candidate_sub_tiles`, sharing
+    ``candidate_memo``).  Pairs never interact: each beam keeps its top
+    ``keep_per_level`` children (:func:`allocate_level`), then each pair's
+    survivors are ranked by the same score with a stable sort, so entry
+    ``[p][i]`` equals a call with ``per_parallelism[p]`` and
+    ``(inner_orders[i],)`` alone.  Candidates never exceed their parent
+    (the generator bounds them by it), so a child's own score is also its
+    beam's last-boundary score.
     """
     hooks = _hooks(vectorize)
-    per_order: list[list[tuple[TileShape, ...]] | None] = [
-        [(last_level_tile,)] for _ in inner_orders
+    degree_sets = (level_degrees,) if per_parallelism is None else per_parallelism
+    n_orders = len(inner_orders)
+    root = (_extents(last_level_tile),)
+    #: Per (parallelism, order) pair ``p * n_orders + o``: its beams.
+    beams: list[list[tuple[Extents, ...]] | None] = [
+        [root] for _ in range(len(degree_sets) * n_orders)
     ]
+    keep_beams = max(keep_per_level, 2)
     for level_index in range(1, arch.num_levels):
-        degrees = None
-        if level_degrees is not None:
-            degrees = level_degrees[level_index]
-        entries: dict[TileShape, _Candidates] = {}
-        segments = []  # (order index, parent, candidates), one per beam
-        for o, beams in enumerate(per_order):
-            for beam in beams or ():
+        divisors = []
+        for degrees in degree_sets:
+            split = degrees[level_index] if degrees is not None else None
+            divisors.append(
+                tuple(split.get(dim, 1) for dim in ALL_DIMS) if split else None
+            )
+        capped: list[dict[Extents, Extents]] = [{} for _ in degree_sets]
+        index: dict[tuple, int] = {}  # (order, parent, upper) -> segment
+        keys: list[tuple[int, Extents, Extents]] = []
+        beam_segments: list[list[int] | None] = []
+        for pair, pair_beams in enumerate(beams):
+            if pair_beams is None:
+                beam_segments.append(None)
+                continue
+            p, o = divmod(pair, n_orders)
+            divisor, uppers = divisors[p], capped[p]
+            segments = []
+            for beam in pair_beams:
                 parent = beam[-1]
-                entry = entries.get(parent)
-                if entry is None:
-                    cap = parallel_caps(parent, degrees) if degrees else None
-                    entry = entries[parent] = _candidates(
-                        layer, arch, level_index, parent, cap, hooks,
-                        candidate_memo,
+                upper = uppers.get(parent)
+                if upper is None:
+                    upper = uppers[parent] = parent if divisor is None else tuple(
+                        -(-extent // degree)
+                        for extent, degree in zip(parent, divisor)
                     )
-                segments.append((o, parent, entry))
-        if not any(entry.tiles for _, _, entry in segments):
-            return [None] * len(inner_orders)
-        scores = hooks.scores(layer, arch, inner_orders, segments)
-        start = 0
-        segment = iter(segments)
-        for o, beams in enumerate(per_order):
-            if beams is None:
+                key = (o, parent, upper)
+                s = index.get(key)
+                if s is None:
+                    s = index[key] = len(keys)
+                    keys.append(key)
+                segments.append(s)
+            beam_segments.append(segments)
+        entries = _entries(
+            layer, arch, level_index, [upper for _, _, upper in keys], hooks,
+            candidate_memo,
+        )
+        if not any(entry.extents for entry in entries):
+            beams = [None] * len(beams)
+            break
+        # Each segment's top ``keep_per_level`` (score, child), best first.
+        picks = hooks.top(layer, arch, inner_orders, [
+            (o, parent, entry) for (o, parent, _), entry in zip(keys, entries)
+        ], keep_per_level)
+        for pair, segments in enumerate(beam_segments):
+            if segments is None:
                 continue
-            first = start
-            chosen = []  # (row, beam, parent, child)
-            for beam in beams:
-                _, parent, entry = next(segment)
-                tiles = entry.tiles
-                span = range(start, start + len(tiles))
-                start = span.stop
-                chosen += [
-                    (j, beam, parent, tiles[j - span.start])
-                    for j in _ranked(span, scores)[:keep_per_level]
-                ]
-            if start == first:  # no feasible sub-tile below any beam
-                per_order[o] = None
-                continue
-            chosen.sort(key=lambda pick: scores[pick[0]], reverse=True)
-            per_order[o] = [
-                beam + (child.clipped(parent),)
-                for _, beam, parent, child in chosen[: max(keep_per_level, 2)]
+            chosen = [
+                (score, beam, child)
+                for beam, s in zip(beams[pair], segments)
+                for score, child in picks[s]
             ]
-    return per_order
+            if not chosen:  # no feasible sub-tile below any beam
+                beams[pair] = None
+                continue
+            chosen.sort(key=_score_of, reverse=True)  # stable
+            beams[pair] = [
+                beam + (child,) for _, beam, child in chosen[:keep_beams]
+            ]
+    per_pair = [None if found is None else _Beams(found) for found in beams]
+    result = [
+        per_pair[start:start + n_orders]
+        for start in range(0, len(per_pair), n_orders)
+    ]
+    return result[0] if per_parallelism is None else result

@@ -36,6 +36,7 @@ never inherit an override and always run the real monotonic clock.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from typing import Callable, Iterator
 
@@ -54,15 +55,23 @@ def monotonic_ms() -> float:
 
 
 class _NamedClock:
-    """One separately overridable clock: a LIFO of installed overrides
-    over the real :func:`monotonic_ms`."""
+    """One separately overridable clock: a stack of installed overrides
+    over the real :func:`monotonic_ms`.
+
+    Each block removes its own override on exit, not the newest one, so
+    blocks that overlap across threads restore each other correctly.
+    """
 
     def __init__(self) -> None:
         self.overrides: list[Clock] = []
+        self._lock = threading.Lock()
 
     def current(self) -> Clock:
         """The innermost override, or the real :func:`monotonic_ms`."""
-        return self.overrides[-1] if self.overrides else monotonic_ms
+        try:
+            return self.overrides[-1]
+        except IndexError:
+            return monotonic_ms
 
     def now_ms(self) -> float:
         """One reading of the active clock."""
@@ -71,7 +80,8 @@ class _NamedClock:
     @contextlib.contextmanager
     def use(self, clock: Clock) -> Iterator[Clock]:
         """Install ``clock`` for the dynamic extent of the block
-        (re-entrant; restores the previous clock on exit).
+        (re-entrant; on exit it removes its own override, so the clocks
+        of other blocks, in this thread or another, stay installed).
 
         For tests: a counter-backed fake makes budget exhaustion exact
         and repeatable, a frozen one stops serving time::
@@ -82,11 +92,19 @@ class _NamedClock:
             with SERVE_CLOCK.use(lambda: 0.0):
                 ...  # a deadline_ms=5.0 request maps to budget_ms == 5.0
         """
-        self.overrides.append(clock)
+        with self._lock:
+            self.overrides.append(clock)
         try:
             yield clock
         finally:
-            self.overrides.pop()
+            with self._lock:
+                overrides = self.overrides
+                # The newest entry that is this block's clock object (the
+                # same object installed by another block is interchangeable).
+                for i in range(len(overrides) - 1, -1, -1):
+                    if overrides[i] is clock:
+                        del overrides[i]
+                        break
 
 
 #: The anytime search's budget clock.

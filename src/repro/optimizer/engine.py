@@ -917,73 +917,74 @@ class OptimizerEngine:
         pending: list[str] = []
         claimed: dict[str, _InflightSearch] = {}
         joined: dict[str, _InflightSearch] = {}
-        for key, signature in signatures.items():
-            if self.use_cache and key in _LAYER_MEMO:
-                resolved[key] = _LAYER_MEMO[key]
-                self.stats.memo_hits += 1
-                if self.disk is not None and not self.disk.contains(
-                    signature, key
-                ):
-                    # Write-through: a warm memo still populates a cache
-                    # directory configured after the original search.
-                    self.disk.store(signature, resolved[key], key)
-                continue
-            if self.disk is not None:
-                recalled = self.disk.load(
-                    signature,
-                    representatives[key],
-                    self.arch,
-                    self.options,
-                    key,
-                )
-                if recalled is not None:
-                    resolved[key] = recalled
-                    _LAYER_MEMO[key] = recalled
-                    self.stats.disk_hits += 1
-                    continue
-                self.stats.disk_misses += 1
-            if coalesce:
-                entry, owned = _inflight_claim(key)
-                if owned:
-                    claimed[key] = entry
-                    pending.append(key)
-                else:
-                    joined[key] = entry
-            else:
-                pending.append(key)
-
+        # Never strand a subscriber: whatever raises in this block (the
+        # search, a store or a recall), every claim not yet published is
+        # published with the error, so waiters fall back to their own
+        # search instead of waiting out _INFLIGHT_WAIT_S.  A normal exit
+        # has published every claim.
         try:
+            for key, signature in signatures.items():
+                if self.use_cache and key in _LAYER_MEMO:
+                    resolved[key] = _LAYER_MEMO[key]
+                    self.stats.memo_hits += 1
+                    if self.disk is not None and not self.disk.contains(
+                        signature, key
+                    ):
+                        # Write-through: a warm memo still populates a cache
+                        # directory configured after the original search.
+                        self.disk.store(signature, resolved[key], key)
+                    continue
+                if self.disk is not None:
+                    recalled = self.disk.load(
+                        signature,
+                        representatives[key],
+                        self.arch,
+                        self.options,
+                        key,
+                    )
+                    if recalled is not None:
+                        resolved[key] = recalled
+                        _LAYER_MEMO[key] = recalled
+                        self.stats.disk_hits += 1
+                        continue
+                    self.stats.disk_misses += 1
+                if coalesce:
+                    entry, owned = _inflight_claim(key)
+                    if owned:
+                        claimed[key] = entry
+                        pending.append(key)
+                    else:
+                        joined[key] = entry
+                else:
+                    pending.append(key)
+
             outcomes = self._search(pending, representatives)
-        except BaseException as error:
-            # Never strand a subscriber: failed claims publish the error
-            # so waiters fall back to their own search instead of hanging.
-            for key in pending:
+            for key, result in zip(pending, outcomes):
+                resolved[key] = result
+                self.stats.searched += 1
+                self.stats.parallelism_displaced += result.parallelism_displaced
                 entry = claimed.pop(key, None)
+                if result.budget_exhausted:
+                    # Best-so-far prefixes never enter a cache: a later run
+                    # (or a bigger budget) must get the chance to finish the
+                    # search instead of recalling a truncated optimum.  (A
+                    # budgeted engine never claims, so ``entry`` is None here
+                    # unless budget resolution and claiming ever disagree —
+                    # publish defensively either way.)
+                    self.stats.budget_exhausted += 1
+                    if entry is not None:
+                        _inflight_publish(key, entry, None)
+                    continue
                 if entry is not None:
-                    _inflight_publish(key, entry, None, error)
+                    _inflight_publish(key, entry, result)
+                if self.use_cache:
+                    _LAYER_MEMO[key] = result
+                if self.disk is not None:
+                    self.disk.store(signatures[key], result, key)
+        except BaseException as error:
+            for key, entry in claimed.items():
+                _inflight_publish(key, entry, None, error)
             raise
-        for key, result in zip(pending, outcomes):
-            resolved[key] = result
-            self.stats.searched += 1
-            self.stats.parallelism_displaced += result.parallelism_displaced
-            entry = claimed.pop(key, None)
-            if result.budget_exhausted:
-                # Best-so-far prefixes never enter a cache: a later run
-                # (or a bigger budget) must get the chance to finish the
-                # search instead of recalling a truncated optimum.  (A
-                # budgeted engine never claims, so ``entry`` is None here
-                # unless budget resolution and claiming ever disagree —
-                # publish defensively either way.)
-                self.stats.budget_exhausted += 1
-                if entry is not None:
-                    _inflight_publish(key, entry, None)
-                continue
-            if entry is not None:
-                _inflight_publish(key, entry, result)
-            if self.use_cache:
-                _LAYER_MEMO[key] = result
-            if self.disk is not None:
-                self.disk.store(signatures[key], result, key)
 
         # Own searches are published *before* waiting on anyone else's, so
         # two engines claiming disjoint halves of each other's layer sets

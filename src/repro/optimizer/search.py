@@ -632,7 +632,8 @@ class LayerOptimizer:
         Per ``(parallelism, L2 tile)`` block it polls the budget, prunes
         the whole branch when no outer order's bound can displace the
         incumbent, and otherwise yields the block's rows lazily — [inner
-        order x allocation x outer order], each with its legacy rank —
+        order x allocation x outer order], each with its legacy rank, the
+        allocations coming from one allocator call per L2 tile —
         skipping (and counting) rows whose bound cannot win at the moment
         they are pulled.  The evaluator drains those rows and offers
         scores back; offers displace the incumbent under the ``(score,
@@ -656,9 +657,18 @@ class LayerOptimizer:
         outers_for, bound_for, block_bound = self._bound_closures(
             layer, floors, parallelisms, l2_tiles
         )
-        #: (level, parent, cap) -> sub-tile candidates, shared across the
-        #: blocks of the search (candidate generation is order-independent).
+        #: (level, upper extents) -> sub-tile candidates, shared across
+        #: the allocations of the search (candidates depend on nothing
+        #: else, in particular not on the inner order).
         candidate_memo: dict = {}
+        #: L2-tile index -> {parallelism index: per-inner-order beams}.
+        #: One allocator call per tile, at its first unpruned block visit,
+        #: covers every parallelism whose block can still beat the
+        #: incumbent then: the incumbent only improves, so no later block
+        #: of the tile needs one left out (docs/INVARIANTS.md).  A budgeted
+        #: search may stop at any block, so it allocates only the block
+        #: it visits.
+        allocations: dict[int, dict[int, list]] = {}
 
         best = None  # the evaluator's handle on the incumbent
         best_score = float("inf")
@@ -676,45 +686,70 @@ class LayerOptimizer:
                 return True
             return value == best_score and (block_idx, row_idx) < best_rank
 
-        def rows(block_idx, p_idx, t_idx, outer_orders):
-            """The block's unpruned rows ``(rank, inner index, tiles, outer
-            index)``, indexing ``inner_orders`` and ``outer_orders``; each
-            row's prune sees the incumbent as of its pull."""
+        def block_live(p_idx: int, t_idx: int) -> bool:
+            """Can some outer order of the block still beat the incumbent?"""
+            block_idx = legacy_index[p_idx, t_idx]
+            return any(
+                can_beat(bound_for(p_idx, t_idx, o), block_idx, -1)
+                for o in outers_for(l2_tiles[t_idx])
+            )
+
+        def allocation(p_idx: int, t_idx: int) -> list:
+            """The block's per-inner-order beams (see ``allocations``)."""
+            by_parallelism = allocations.setdefault(t_idx, {})
+            if p_idx not in by_parallelism:
+                arch = self.arch
+                live = [p_idx]
+                if self.budget_ms is None:
+                    live = [
+                        q for q in range(len(parallelisms))
+                        if block_live(q, t_idx)
+                    ]
+                found = allocate_hierarchy(
+                    layer,
+                    arch,
+                    l2_tiles[t_idx],
+                    inner_orders,
+                    keep_per_level=self.options.keep_per_level,
+                    per_parallelism=[
+                        parallel_level_degrees(
+                            arch.num_levels, arch.clusters,
+                            arch.pes_per_cluster, parallelisms[q],
+                        )
+                        for q in live
+                    ],
+                    vectorize=evaluator.vectorize,
+                    candidate_memo=candidate_memo,
+                )
+                by_parallelism.update(zip(live, found))
+            return by_parallelism[p_idx]
+
+        def rows(block_idx, p_idx, t_idx, outer_orders, beams):
+            """The block's unpruned rows ``(rank, inner index, beam index,
+            outer index)``, indexing ``inner_orders``, ``beams[i]`` and
+            ``outer_orders``; each row's prune sees the incumbent as of
+            its pull."""
             nonlocal pruned
-            arch = self.arch
-            level_degrees = parallel_level_degrees(
-                arch.num_levels, arch.clusters, arch.pes_per_cluster,
-                parallelisms[p_idx],
-            )
-            # One level-synchronous allocator beam for every inner order.
-            allocations = allocate_hierarchy(
-                layer,
-                arch,
-                l2_tiles[t_idx],
-                inner_orders,
-                keep_per_level=self.options.keep_per_level,
-                level_degrees=level_degrees,
-                vectorize=evaluator.vectorize,
-                candidate_memo=candidate_memo,
-            )
             bounds = [bound_for(p_idx, t_idx, outer) for outer in outer_orders]
             row = -1
-            for i, beams in enumerate(allocations):
-                if beams is None:  # no allocation under this inner order
+            for i, order_beams in enumerate(beams):
+                if order_beams is None:  # no allocation under this order
                     continue
-                for tiles in beams[: self.options.keep_allocations]:
+                for b in range(min(len(order_beams), keep_allocations)):
                     for q, bound in enumerate(bounds):
                         row += 1
                         if not can_beat(bound, block_idx, row):
                             pruned += 1
                             continue
-                        yield row, i, tiles, q
+                        yield row, i, b, q
 
         best_first = self.options.search_order == "best_first"
         blocks = candidate_blocks(
             parallelisms, l2_tiles, best_first=best_first,
             block_bound=block_bound if best_first else None,
         )
+        legacy_index = {(p_idx, t_idx): b for b, p_idx, t_idx in blocks}
+        keep_allocations = self.options.keep_allocations
 
         budget_ms = self.budget_ms
         clock = current_clock() if budget_ms is not None else None
@@ -738,14 +773,12 @@ class LayerOptimizer:
             outer_orders = outers_for(l2_tiles[t_idx])
             # Branch-level prune: if no outer order of this block can
             # displace the incumbent, skip the whole sub-tile allocation.
-            if not any(
-                can_beat(bound_for(p_idx, t_idx, o), block_idx, -1)
-                for o in outer_orders
-            ):
+            if not block_live(p_idx, t_idx):
                 pruned += len(outer_orders)
                 continue
-            block_rows = rows(block_idx, p_idx, t_idx, outer_orders)
-            offers = evaluator.offers(p_idx, outer_orders, block_rows)
+            beams = allocation(p_idx, t_idx)
+            block_rows = rows(block_idx, p_idx, t_idx, outer_orders, beams)
+            offers = evaluator.offers(p_idx, outer_orders, beams, block_rows)
             for score, row, handle in offers:
                 if can_beat(score, block_idx, row):
                     best, best_score = handle, score
@@ -805,10 +838,10 @@ class _ScalarBlocks:
         self.inner_orders = inner_orders
         self.evaluated = 0
 
-    def offers(self, p_idx: int, outer_orders, rows):
+    def offers(self, p_idx: int, outer_orders, beams, rows):
         par = self.parallelisms[p_idx]
-        for row, i, tiles, q in rows:
-            hierarchy = TileHierarchy(self.layer, tiles)
+        for row, i, b, q in rows:
+            hierarchy = TileHierarchy(self.layer, beams[i][b])
             dataflow = Dataflow(
                 outer_orders[q], self.inner_orders[i], hierarchy, par
             )
@@ -857,7 +890,7 @@ class _ColumnarBlocks:
     def _index_of(self, order: LoopOrder) -> int:
         return self.order_index.setdefault(order, len(self.order_index))
 
-    def offers(self, p_idx: int, outer_orders, rows):
+    def offers(self, p_idx: int, outer_orders, beams, rows):
         import numpy as np
 
         from repro.core.batch import CandidateBatch
@@ -866,12 +899,13 @@ class _ColumnarBlocks:
         inner_ids = self.inner_ids
         outer_ids = [self._index_of(order) for order in outer_orders]
         ranks: list[int] = []
-        tiles_rows: list[list[tuple[int, ...]]] = []
+        tiles_rows: list[tuple[tuple[int, ...], ...]] = []
         inner_col: list[int] = []
         outer_col: list[int] = []
-        for row, i, tiles, q in rows:
+        for row, i, b, q in rows:
             ranks.append(row)
-            tiles_rows.append([(t.w, t.h, t.c, t.k, t.f) for t in tiles])
+            # The allocator's per-level extents, lowered without TileShapes.
+            tiles_rows.append(beams[i].extents[b])
             inner_col.append(inner_ids[i])
             outer_col.append(outer_ids[q])
         if not ranks:

@@ -13,6 +13,8 @@ a fake clock — deterministic, no sleeping, no flakes.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.layer import ConvLayer
@@ -92,6 +94,33 @@ class TestClockResolver:
         with pytest.raises(RuntimeError):
             with use_clock(frozen_clock()):
                 raise RuntimeError("boom")
+        assert current_clock() is monotonic_ms
+
+    def test_overlapping_blocks_across_threads(self):
+        """Thread A installs 1.0, thread B installs 2.0, A exits first:
+        B still reads its own clock, and both exits restore the real one."""
+        a_installed, b_installed, a_exited = (threading.Event() for _ in range(3))
+        seen: dict[str, float] = {}
+
+        def thread_a():
+            with use_clock(frozen_clock(1.0)):
+                a_installed.set()
+                b_installed.wait(5)
+            a_exited.set()
+
+        def thread_b():
+            a_installed.wait(5)
+            with use_clock(frozen_clock(2.0)):
+                b_installed.set()
+                a_exited.wait(5)
+                seen["b"] = current_clock()()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == {"b": 2.0}
         assert current_clock() is monotonic_ms
 
 

@@ -12,10 +12,11 @@ configurations, bit-identical scores.  These tests pin that contract:
   ``allocate_level``, ``allocate_hierarchy``) under its scalar and
   columnar hooks, with and without the candidate memo;
 * property tests over random strided, dilated and (2+1)D layers pin the
-  multi-order beam: entry ``i`` of one ``allocate_hierarchy`` call over
-  several inner orders equals the single-order call for order ``i``, and
-  ``boundary_fill_bytes_sum`` with per-row orders equals its per-order
-  calls bit for bit;
+  multi-order, multi-parallelism beam: entry ``[p][i]`` of one
+  ``allocate_hierarchy`` call over several parallelisms and inner orders
+  equals the call for parallelism ``p`` and order ``i`` alone, every
+  candidate fits within its parent, and ``boundary_fill_bytes_sum`` with
+  per-row orders equals its per-order calls bit for bit;
 * a property test over random layers and all four objectives compares
   the full vectorized search against the scalar reference search, and a
   forced score mismatch must fall back to the scalar search;
@@ -304,6 +305,45 @@ class TestAllocatorEquivalence:
             assert allocate(vectorize, memo) == expected
             assert allocate(vectorize, memo) == expected  # memo warm
 
+    @given(case=allocation_cases(), keep=st.integers(1, 4), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_allocate_hierarchy_parallelism_axis(self, case, keep, data):
+        """A multi-parallelism call gives the same beams under both hooks,
+        with and without the candidate memo."""
+        layer, arch, parent, inner, _ = case
+        per_parallelism = data.draw(parallelism_degree_sets(arch, layer))
+
+        def allocate(vectorize, memo):
+            return allocate_hierarchy(
+                layer, arch, parent, (inner,), keep_per_level=keep,
+                per_parallelism=per_parallelism, vectorize=vectorize,
+                candidate_memo=memo,
+            )
+
+        expected = allocate(False, None)
+        assert len(expected) == len(per_parallelism)
+        for vectorize in (True, False):
+            memo: dict = {}
+            assert allocate(vectorize, None) == expected
+            assert allocate(vectorize, memo) == expected
+            assert allocate(vectorize, memo) == expected  # memo warm
+
+
+def parallelism_degree_sets(arch, layer):
+    """1-3 distinct per-level degree splits: no split, or the level
+    degrees of parallelisms the search would try for ``layer``."""
+    from repro.optimizer.space import parallelism_candidates
+
+    splits = [None] + [
+        parallel_level_degrees(
+            arch.num_levels, arch.clusters, arch.pes_per_cluster, parallelism
+        )
+        for parallelism in parallelism_candidates(arch, layer, max_candidates=4)
+    ]
+    return st.lists(
+        st.sampled_from(range(len(splits))), min_size=1, max_size=3, unique=True
+    ).map(lambda picks: [splits[i] for i in picks])
+
 
 @st.composite
 def multi_order_cases(draw):
@@ -351,6 +391,66 @@ class TestMultiOrderAllocation:
                 assert allocate(orders, vectorize, memo_or_none) == expected
             assert allocate(orders[::-1], vectorize, memo) == expected[::-1]
 
+    @given(case=multi_order_cases(), keep=st.integers(1, 4), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_entry_equals_single_pair_call(self, case, keep, data):
+        """Entry ``[p][i]`` of a call over several parallelisms and orders
+        equals the call with parallelism ``p`` and order ``i`` alone."""
+        layer, arch, parent, _, orders = case
+        per_parallelism = data.draw(parallelism_degree_sets(arch, layer))
+
+        def allocate(per_parallelism, orders, vectorize, memo):
+            return allocate_hierarchy(
+                layer, arch, parent, orders, keep_per_level=keep,
+                per_parallelism=per_parallelism, vectorize=vectorize,
+                candidate_memo=memo,
+            )
+
+        expected = [
+            [
+                allocate_hierarchy(
+                    layer, arch, parent, (order,), keep_per_level=keep,
+                    level_degrees=degrees,
+                )[0]
+                for order in orders
+            ]
+            for degrees in per_parallelism
+        ]
+        for vectorize in (False, True):
+            memo: dict = {}
+            for memo_or_none in (None, memo, memo):  # cold, then memo warm
+                assert allocate(
+                    per_parallelism, orders, vectorize, memo_or_none
+                ) == expected
+            assert allocate(
+                per_parallelism[::-1], orders, vectorize, memo
+            ) == expected[::-1]
+
+    @given(case=multi_order_cases(), keep=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_beams_nest_without_clipping(self, case, keep):
+        """Every sub-tile the allocator proposes fits within its parent,
+        so beams nest as generated (no clip to the parent is needed)."""
+        layer, arch, parent, level_degrees, orders = case
+        for level in range(1, arch.num_levels):
+            cap = None
+            if level_degrees is not None and level_degrees[level]:
+                cap = parallel_caps(parent, level_degrees[level])
+            for vectorize in (False, True):
+                for tile in candidate_sub_tiles(
+                    layer, arch, level, parent, cap=cap, vectorize=vectorize
+                ):
+                    assert tile.fits_within(parent), (tile, parent)
+                    assert cap is None or tile.fits_within(cap), (tile, cap)
+        for beams in allocate_hierarchy(
+            layer, arch, parent, orders, keep_per_level=keep,
+            level_degrees=level_degrees, vectorize=True,
+        ):
+            for beam in beams or ():
+                assert beam[0] == parent
+                for outer, inner in zip(beam, beam[1:]):
+                    assert inner.fits_within(outer), (inner, outer)
+
     def test_order_without_allocation_is_marked_alone(self, monkeypatch):
         """Entry ``i`` still equals the single-order call when one order
         loses every level-2 candidate while another survives.  Every real
@@ -363,8 +463,8 @@ class TestMultiOrderAllocation:
         arch = morph()
         l2 = TileShape(w=35, h=18, c=61, k=102, f=6)
         dies, lives = LoopOrder.parse("WHCKF"), LoopOrder.parse("KWFCH")
-        real = allocation._candidates
-        level2_parents: dict[LoopOrder, set] = {}
+        real = allocation._entries
+        level2_uppers: dict[LoopOrder, set] = {}
 
         def allocate(orders, vectorize=False, memo=None):
             return allocate_hierarchy(
@@ -373,24 +473,28 @@ class TestMultiOrderAllocation:
             )
 
         for order in (dies, lives):
-            seen = level2_parents[order] = set()
+            seen = level2_uppers[order] = set()
 
-            def spy(layer, arch, level_index, parent, *rest, seen=seen):
+            def spy(layer, arch, level_index, uppers, *rest, seen=seen):
                 if level_index == 2:
-                    seen.add(parent)
-                return real(layer, arch, level_index, parent, *rest)
+                    seen.update(uppers)
+                return real(layer, arch, level_index, uppers, *rest)
 
-            monkeypatch.setattr(allocation, "_candidates", spy)
+            monkeypatch.setattr(allocation, "_entries", spy)
             allocate((order,))
-        killed = level2_parents[dies]
-        assert killed and not killed & level2_parents[lives]
+        killed = level2_uppers[dies]
+        assert killed and not killed & level2_uppers[lives]
 
-        def no_candidates_below_killed(layer, arch, level_index, parent, *rest):
-            if level_index == 2 and parent in killed:
-                return allocation._Candidates([])
-            return real(layer, arch, level_index, parent, *rest)
+        def no_candidates_below_killed(layer, arch, level_index, uppers, *rest):
+            entries = real(layer, arch, level_index, uppers, *rest)
+            if level_index != 2:
+                return entries
+            return [
+                allocation._Candidates([]) if upper in killed else entry
+                for upper, entry in zip(uppers, entries)
+            ]
 
-        monkeypatch.setattr(allocation, "_candidates", no_candidates_below_killed)
+        monkeypatch.setattr(allocation, "_entries", no_candidates_below_killed)
         [survivor] = allocate((lives,))
         assert survivor and allocate((dies,)) == [None]
         for vectorize in (False, True):

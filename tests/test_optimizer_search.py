@@ -252,13 +252,12 @@ class TestParallelismDisplacement:
 
 
 class TestAllocatorCallShape:
-    """The columnar search allocates each block in one beam over all of
-    its inner orders: call counts, not times, so a regression to one
-    allocator call per inner order fails here."""
+    """The columnar search allocates each L2 tile once, in one beam over
+    all of its live parallelisms and inner orders: call counts, not
+    times, so a regression to one allocator call per block (or per inner
+    order) fails here."""
 
-    def test_one_allocation_and_one_score_pass_per_level_per_block(
-        self, monkeypatch
-    ):
+    def test_one_allocation_and_one_score_pass_per_level(self, monkeypatch):
         from repro.arch.accelerator import morph
         from repro.core import batch
         from repro.optimizer import search
@@ -267,20 +266,23 @@ class TestAllocatorCallShape:
         layer = build_network("c3d").layers[2]  # layer3a
         arch = morph()
         optimizer = LayerOptimizer(arch, OptimizerOptions(vectorize=True))
-        counts = {"blocks": 0, "allocate": 0, "fill": 0}
-        orders_seen = []
+        counts = {"allocate": 0, "fill": 0}
+        block_tiles = []  # the L2 tile of every allocated block
+        calls = []  # (L2 tile, inner orders, parallelisms covered)
 
         offers = search._ColumnarBlocks.offers
         allocate = search.allocate_hierarchy
         fill = batch.boundary_fill_bytes_sum
 
-        def counting_offers(self, *args):
-            counts["blocks"] += 1  # one offer pass per allocated block
-            return offers(self, *args)
+        def counting_offers(self, p_idx, outer_orders, beams, rows):
+            # One offer pass per allocated block; every beam starts at
+            # the block's L2 tile.
+            block_tiles.append(next(b for b in beams if b)[0][0])
+            return offers(self, p_idx, outer_orders, beams, rows)
 
         def counting_allocate(*args, **kwargs):
             counts["allocate"] += 1
-            orders_seen.append(args[3])
+            calls.append((args[2], args[3], len(kwargs["per_parallelism"])))
             return allocate(*args, **kwargs)
 
         def counting_fill(*args, **kwargs):
@@ -292,10 +294,12 @@ class TestAllocatorCallShape:
         monkeypatch.setattr(batch, "boundary_fill_bytes_sum", counting_fill)
         optimizer.optimize(layer)
 
-        assert counts["blocks"] > 1
-        assert counts["allocate"] == counts["blocks"]
-        assert counts["fill"] == (arch.num_levels - 1) * counts["blocks"]
+        assert len(block_tiles) > counts["allocate"] > 1
+        assert counts["allocate"] == len(set(block_tiles))
+        assert len({tile for tile, _, _ in calls}) == counts["allocate"]
+        assert counts["fill"] == (arch.num_levels - 1) * counts["allocate"]
         assert all(
-            orders == tuple(optimizer._inner_orders()) for orders in orders_seen
+            orders == tuple(optimizer._inner_orders()) for _, orders, _ in calls
         )
-        assert len(orders_seen[0]) > 1
+        assert len(calls[0][1]) > 1
+        assert max(covered for _, _, covered in calls) > 1

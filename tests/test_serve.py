@@ -221,6 +221,48 @@ class TestInflightTable:
         assert result.budget_exhausted
         assert engine.stats.searched == 1
 
+    def test_store_failure_publishes_every_claim(
+        self, morph_arch, monkeypatch
+    ):
+        """A store that raises after claims were taken still publishes
+        every claim: nothing stays in flight, and a later healthy engine
+        claims its searches afresh instead of waiting on stale entries."""
+        from repro.optimizer.config_store import MemoryStore
+        from repro.workloads import build_network
+
+        layers = build_network("c3d").layers[:3]
+        failing = OptimizerEngine(morph_arch, TINY, cache_backend=MemoryStore())
+        real_store = failing.disk.store
+        stores = []
+
+        def store_once_then_fail(*args, **kwargs):
+            stores.append(args)
+            if len(stores) == 1:
+                raise OSError("disk full")
+            return real_store(*args, **kwargs)
+
+        monkeypatch.setattr(failing.disk, "store", store_once_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            failing.optimize_layers(layers)
+        assert inflight_searches() == 0
+
+        claims = []
+        real_claim = _inflight_claim
+
+        def recording_claim(key):
+            entry, owned = real_claim(key)
+            claims.append(owned)
+            return entry, owned
+
+        monkeypatch.setattr(eng_mod, "_inflight_claim", recording_claim)
+        monkeypatch.setattr(eng_mod, "_INFLIGHT_WAIT_S", 60.0)
+        healthy = OptimizerEngine(morph_arch, TINY, cache_backend=MemoryStore())
+        results = healthy.optimize_layers(layers)
+        assert [r.layer for r in results] == list(layers)
+        assert claims and all(claims)  # every claim fresh, none joined
+        assert healthy.stats.coalesced == 0
+        assert inflight_searches() == 0
+
     def test_owner_search_failure_releases_waiters(
         self, morph_arch, monkeypatch
     ):

@@ -1,5 +1,6 @@
 """Unit and property tests for the tiling model (halos, extents, bytes)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -210,6 +211,52 @@ class TestTileHierarchy:
     def test_levels_count(self, small_layer):
         tile = TileShape(w=2, h=2, c=2, k=2, f=2)
         assert TileHierarchy(small_layer, (tile, tile, tile)).levels == 3
+
+    def test_normalised_tiles_survive_replace(self, small_layer):
+        """A normalised hierarchy keeps its very tuple through
+        ``dataclasses.replace`` (the engine's relabel and record decode
+        paths), also when the layer is swapped for a same-shape one."""
+        hierarchy = TileHierarchy(
+            small_layer,
+            (
+                TileShape(w=999, h=999, c=999, k=999, f=999),
+                TileShape(w=8, h=2, c=8, k=2, f=4),
+            ),
+        )
+        renamed = dataclasses.replace(small_layer, name="renamed")
+        for again in (
+            dataclasses.replace(hierarchy),
+            dataclasses.replace(hierarchy, layer=renamed),
+        ):
+            assert again.tiles is hierarchy.tiles
+
+
+def _clip_chain(layer, tiles):
+    """The reference normalisation: clip each level to the layer and to
+    the level above it."""
+    bound = TileShape.full(layer)
+    normalised = []
+    for tile in tiles:
+        bound = tile.clipped(bound)
+        normalised.append(bound)
+    return tuple(normalised)
+
+
+@given(data=st.data())
+def test_hierarchy_normalisation_is_the_clip_chain(data, small_layer):
+    """Kept as given or normalised, a hierarchy's tiles always equal the
+    clip chain, and a monotone in-layer tuple is kept as is."""
+    extent = st.integers(1, 14)
+    tiles = tuple(
+        TileShape(*(data.draw(extent) for _ in range(5)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    )
+    hierarchy = TileHierarchy(small_layer, tiles)
+    expected = _clip_chain(small_layer, tiles)
+    assert hierarchy.tiles == expected
+    if expected == tiles:
+        assert hierarchy.tiles is tiles
+    assert TileHierarchy(small_layer, list(tiles)).tiles == expected
 
 
 @given(
