@@ -508,6 +508,10 @@ class CandidateBatch:
     outer: "np.ndarray"
     inner: "np.ndarray"
     par: "np.ndarray"
+    #: Objective -> full score column, kept for :meth:`best` ``rows=``.
+    _score_columns: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         _require_numpy()
@@ -576,7 +580,11 @@ class CandidateBatch:
         return out
 
     def best(
-        self, objective: str, *, max_table_bytes: int | None = None
+        self,
+        objective: str,
+        *,
+        rows: "np.ndarray | None" = None,
+        max_table_bytes: int | None = None,
     ) -> tuple[int, float, int]:
         """First-min winner: ``(index, score, finite_count)``.
 
@@ -585,7 +593,24 @@ class CandidateBatch:
         but streams the table in chunks under ``max_table_bytes`` with
         a carried reduction, so the full score column is never
         materialised.  ``index`` is ``-1`` only for an empty batch.
+
+        ``rows`` (ascending row indices) restricts the sweep to those
+        rows, and ``finite_count`` to them.  The table's score column is
+        then computed once per objective, by :meth:`scores` under the
+        same cap, and kept, so one table serves many subsets; a row's
+        score does not depend on which rows share its table.
         """
+        if rows is not None:
+            column = self._score_columns.get(objective)
+            if column is None:
+                column = self.scores(objective, max_table_bytes=max_table_bytes)
+                self._score_columns[objective] = column
+            picked = column[rows]
+            if not len(picked):
+                return -1, float("inf"), 0
+            local = int(np.argmin(picked))
+            finite = int(np.isfinite(picked).sum())
+            return int(rows[local]), float(picked[local]), finite
         n = len(self)
         if n == 0:
             return -1, float("inf"), 0

@@ -417,10 +417,30 @@ def _signature(layer: ConvLayer, arch_repr: str, options_repr: str) -> dict:
     }
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def signature_key(signature: dict) -> str:
     """Stable sha256 hex key of a search signature (the cache filename)."""
-    canonical = json.dumps(signature, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(signature).encode()).hexdigest()
+
+
+def _key_around_layer(arch_repr: str, options_repr: str):
+    """:func:`signature_key` split around the layer.
+
+    A signature's keys sort ``arch``, ``format_version``, ``layer``,
+    ``options``, so its canonical JSON is a constant head, the layer's
+    JSON and a constant tail.  Returns the head already hashed (to
+    ``copy()`` per layer) and the tail.
+    """
+    head, tail = _canonical({
+        "arch": arch_repr,
+        "format_version": CACHE_FORMAT_VERSION,
+        "layer": None,
+        "options": options_repr,
+    }).split('"layer":null')
+    return hashlib.sha256(f'{head}"layer":'.encode()), tail.encode()
 
 
 # ----------------------------------------------------------------------
@@ -859,6 +879,9 @@ class OptimizerEngine:
         # ``repr`` — derived once here, not once per layer.
         self._arch_repr = repr(arch)
         self._options_repr = repr(self.options)
+        self._key_head, self._key_tail = _key_around_layer(
+            self._arch_repr, self._options_repr
+        )
         self.parallelism = (
             default_parallelism() if parallelism is None else max(1, parallelism)
         )
@@ -1023,9 +1046,14 @@ class OptimizerEngine:
     def _signed(self, layer: ConvLayer) -> tuple[dict, str]:
         """``layer``'s search signature and its key, derived once —
         identical to ``signature_key(search_signature(layer, arch,
-        options))``, so existing stores still recall."""
+        options))``, so existing stores still recall.  Only the layer's
+        JSON is hashed per call; the ~1 KB machine ``repr`` before it is
+        hashed once per engine (:func:`_key_around_layer`)."""
         signature = _signature(layer, self._arch_repr, self._options_repr)
-        return signature, signature_key(signature)
+        digest = self._key_head.copy()
+        digest.update(_canonical(signature["layer"]).encode())
+        digest.update(self._key_tail)
+        return signature, digest.hexdigest()
 
     def _search(
         self, pending: Sequence[str], representatives: dict[str, ConvLayer]

@@ -9,7 +9,7 @@ performance/power", Section V-E).
 One block loop (:meth:`LayerOptimizer._search`) drives the search; the
 block evaluator plugged into it decides how candidates are scored — per
 candidate through the scalar reference models (the oracle, and the only
-path without NumPy), or per block through one columnar table.
+path without NumPy), or per L2 tile through one columnar table.
 
 Inflexible machines reuse the same search with their dataflow pinned:
 Morph-base fixes loop orders, static partitions and parallelism but still
@@ -443,6 +443,16 @@ def objective_lower_bound(
     )
 
 
+def _beam_pairs(beams, keep: int):
+    """A block's ``(inner index, beam index)`` pairs in legacy-rank
+    order: each inner order's first ``keep`` beams, skipping orders with
+    no allocation (``None``).  A block's rows are these pairs times its
+    outer orders, the outer order varying fastest."""
+    for i, order_beams in enumerate(beams):
+        if order_beams is not None:
+            yield from ((i, b) for b in range(min(len(order_beams), keep)))
+
+
 class LayerOptimizer:
     """Searches configurations for single layers on one accelerator."""
 
@@ -613,7 +623,7 @@ class LayerOptimizer:
 
         One block loop (:meth:`_search`) runs the search with a pluggable
         block evaluator.  With vectorization on (the default) it is the
-        columnar evaluator: each block's candidates are lowered into one
+        columnar evaluator: each L2 tile's candidates are lowered into one
         table and scored by :mod:`repro.core.batch` — same equations, same
         chosen configuration and score, a fraction of the time.  Without
         it (or without NumPy) the scalar evaluator runs :func:`evaluate`
@@ -633,11 +643,11 @@ class LayerOptimizer:
         the whole branch when no outer order's bound can displace the
         incumbent, and otherwise yields the block's rows lazily — [inner
         order x allocation x outer order], each with its legacy rank, the
-        allocations coming from one allocator call per L2 tile —
-        skipping (and counting) rows whose bound cannot win at the moment
-        they are pulled.  The evaluator drains those rows and offers
-        scores back; offers displace the incumbent under the ``(score,
-        legacy rank)`` order.  When the winner is materialised its scalar
+        allocations (and the evaluator's tile table) coming from one
+        allocator call per L2 tile — skipping (and counting) rows whose
+        bound cannot win at the moment they are pulled.  The evaluator
+        drains those rows and offers scores back; offers displace the
+        incumbent under the ``(score, legacy rank)`` order.  When the winner is materialised its scalar
         re-evaluation must reproduce the offered score bit for bit;
         otherwise (e.g. the columnar int64 arithmetic left the scalar
         path's exact-integer envelope on a pathological layer) the search
@@ -661,14 +671,16 @@ class LayerOptimizer:
         #: the allocations of the search (candidates depend on nothing
         #: else, in particular not on the inner order).
         candidate_memo: dict = {}
-        #: L2-tile index -> {parallelism index: per-inner-order beams}.
-        #: One allocator call per tile, at its first unpruned block visit,
-        #: covers every parallelism whose block can still beat the
-        #: incumbent then: the incumbent only improves, so no later block
-        #: of the tile needs one left out (docs/INVARIANTS.md).  A budgeted
-        #: search may stop at any block, so it allocates only the block
-        #: it visits.
-        allocations: dict[int, dict[int, list]] = {}
+        #: L2-tile index -> (parallelism index -> per-inner-order beams,
+        #: the evaluator's tile table, parallelisms still to visit).  A
+        #: tile opens at its first unpruned block visit, with one
+        #: allocator call and one table covering every parallelism whose
+        #: block can still beat the incumbent then: the incumbent only
+        #: improves, so no later block of the tile needs one left out
+        #: (docs/INVARIANTS.md).  It closes once its last such block has
+        #: been visited.  A budgeted search may stop at any block, so it
+        #: opens a tile for the visited block alone.
+        open_tiles: dict[int, tuple[dict[int, list], object, set[int]]] = {}
 
         best = None  # the evaluator's handle on the incumbent
         best_score = float("inf")
@@ -686,43 +698,54 @@ class LayerOptimizer:
                 return True
             return value == best_score and (block_idx, row_idx) < best_rank
 
-        def block_live(p_idx: int, t_idx: int) -> bool:
-            """Can some outer order of the block still beat the incumbent?"""
-            block_idx = legacy_index[p_idx, t_idx]
-            return any(
-                can_beat(bound_for(p_idx, t_idx, o), block_idx, -1)
-                for o in outers_for(l2_tiles[t_idx])
+        def admits(p_idx: int, t_idx: int, outer: LoopOrder) -> bool:
+            """Can some row of the branch still beat the incumbent?"""
+            return can_beat(
+                bound_for(p_idx, t_idx, outer), legacy_index[p_idx, t_idx], -1
             )
 
-        def allocation(p_idx: int, t_idx: int) -> list:
-            """The block's per-inner-order beams (see ``allocations``)."""
-            by_parallelism = allocations.setdefault(t_idx, {})
-            if p_idx not in by_parallelism:
-                arch = self.arch
-                live = [p_idx]
-                if self.budget_ms is None:
-                    live = [
-                        q for q in range(len(parallelisms))
-                        if block_live(q, t_idx)
-                    ]
-                found = allocate_hierarchy(
-                    layer,
-                    arch,
-                    l2_tiles[t_idx],
-                    inner_orders,
-                    keep_per_level=self.options.keep_per_level,
-                    per_parallelism=[
-                        parallel_level_degrees(
-                            arch.num_levels, arch.clusters,
-                            arch.pes_per_cluster, parallelisms[q],
-                        )
-                        for q in live
-                    ],
-                    vectorize=evaluator.vectorize,
-                    candidate_memo=candidate_memo,
-                )
-                by_parallelism.update(zip(live, found))
-            return by_parallelism[p_idx]
+        def block_live(p_idx: int, t_idx: int) -> bool:
+            """Can some outer order of the block still beat the incumbent?"""
+            return any(
+                admits(p_idx, t_idx, o) for o in outers_for(l2_tiles[t_idx])
+            )
+
+        def open_tile(p_idx: int, t_idx: int):
+            """Allocate the tile for its live parallelisms and lower the
+            rows of their live branches into one table (see
+            ``open_tiles``)."""
+            arch = self.arch
+            live = [p_idx]
+            if self.budget_ms is None:
+                live = [
+                    q for q in range(len(parallelisms)) if block_live(q, t_idx)
+                ]
+            found = allocate_hierarchy(
+                layer,
+                arch,
+                l2_tiles[t_idx],
+                inner_orders,
+                keep_per_level=self.options.keep_per_level,
+                per_parallelism=[
+                    parallel_level_degrees(
+                        arch.num_levels, arch.clusters,
+                        arch.pes_per_cluster, parallelisms[q],
+                    )
+                    for q in live
+                ],
+                vectorize=evaluator.vectorize,
+                candidate_memo=candidate_memo,
+            )
+            beams = dict(zip(live, found))
+            outer_orders = outers_for(l2_tiles[t_idx])
+            table = evaluator.tile(outer_orders, {
+                q: (beams[q], [
+                    o for o, outer in enumerate(outer_orders)
+                    if admits(q, t_idx, outer)
+                ])
+                for q in live
+            })
+            return beams, table, set(live)
 
         def rows(block_idx, p_idx, t_idx, outer_orders, beams):
             """The block's unpruned rows ``(rank, inner index, beam index,
@@ -732,16 +755,13 @@ class LayerOptimizer:
             nonlocal pruned
             bounds = [bound_for(p_idx, t_idx, outer) for outer in outer_orders]
             row = -1
-            for i, order_beams in enumerate(beams):
-                if order_beams is None:  # no allocation under this order
-                    continue
-                for b in range(min(len(order_beams), keep_allocations)):
-                    for q, bound in enumerate(bounds):
-                        row += 1
-                        if not can_beat(bound, block_idx, row):
-                            pruned += 1
-                            continue
-                        yield row, i, b, q
+            for i, b in _beam_pairs(beams, keep_allocations):
+                for q, bound in enumerate(bounds):
+                    row += 1
+                    if not can_beat(bound, block_idx, row):
+                        pruned += 1
+                        continue
+                    yield row, i, b, q
 
         best_first = self.options.search_order == "best_first"
         blocks = candidate_blocks(
@@ -773,16 +793,26 @@ class LayerOptimizer:
             outer_orders = outers_for(l2_tiles[t_idx])
             # Branch-level prune: if no outer order of this block can
             # displace the incumbent, skip the whole sub-tile allocation.
-            if not block_live(p_idx, t_idx):
+            if block_live(p_idx, t_idx):
+                tile = open_tiles.get(t_idx)
+                if tile is None:
+                    tile = open_tiles[t_idx] = open_tile(p_idx, t_idx)
+                beams, table = tile[0][p_idx], tile[1]
+                block_rows = rows(block_idx, p_idx, t_idx, outer_orders, beams)
+                offers = evaluator.offers(
+                    table, p_idx, outer_orders, beams, block_rows
+                )
+                for score, row, handle in offers:
+                    if can_beat(score, block_idx, row):
+                        best, best_score = handle, score
+                        best_rank = (block_idx, row)
+            else:
                 pruned += len(outer_orders)
-                continue
-            beams = allocation(p_idx, t_idx)
-            block_rows = rows(block_idx, p_idx, t_idx, outer_orders, beams)
-            offers = evaluator.offers(p_idx, outer_orders, beams, block_rows)
-            for score, row, handle in offers:
-                if can_beat(score, block_idx, row):
-                    best, best_score = handle, score
-                    best_rank = (block_idx, row)
+            tile = open_tiles.get(t_idx)
+            if tile is not None:
+                tile[2].discard(p_idx)
+                if not tile[2]:  # the tile's last live block: drop it
+                    del open_tiles[t_idx]
 
         if best is None:
             raise CapacityError(
@@ -838,7 +868,11 @@ class _ScalarBlocks:
         self.inner_orders = inner_orders
         self.evaluated = 0
 
-    def offers(self, p_idx: int, outer_orders, beams, rows):
+    @staticmethod
+    def tile(outer_orders, live) -> None:
+        return None
+
+    def offers(self, table, p_idx: int, outer_orders, beams, rows):
         par = self.parallelisms[p_idx]
         for row, i, b, q in rows:
             hierarchy = TileHierarchy(self.layer, beams[i][b])
@@ -858,12 +892,15 @@ class _ScalarBlocks:
 
 
 class _ColumnarBlocks:
-    """Block evaluator scoring a whole block as one candidate table.
+    """Block evaluator scoring each L2 tile as one candidate table.
 
-    It drains the block's rows before scoring, so the loop's per-row
-    prune sees the block-start incumbent, then offers the block's
-    first-minimum row (:meth:`repro.core.batch.CandidateBatch.best`).
-    Rows are drained in legacy-rank order, so among equal scores the
+    :meth:`tile` lowers the rows of every live branch of a tile's live
+    blocks into one :class:`repro.core.batch.CandidateBatch`, block by
+    block in legacy-rank order.  A block's visit drains its rows before
+    scoring, so the loop's per-row prune sees the block-start incumbent,
+    then offers the first-minimum of the drained rows
+    (:meth:`~repro.core.batch.CandidateBatch.best` with ``rows=``), whose
+    score column is computed once per table.  Among equal scores the
     first minimum is also the lowest rank.  Handles are ``(batch, row)``
     pairs, materialised through the scalar models.
     """
@@ -881,6 +918,7 @@ class _ColumnarBlocks:
         self.arch = optimizer.arch
         self.objective = optimizer.options.objective
         self.max_table_bytes = optimizer.max_table_bytes
+        self.keep_allocations = optimizer.options.keep_allocations
         self.parallelisms = tuple(parallelisms)
         #: Stable order registry shared by outer and inner columns.
         self.order_index: dict[LoopOrder, int] = {}
@@ -890,51 +928,83 @@ class _ColumnarBlocks:
     def _index_of(self, order: LoopOrder) -> int:
         return self.order_index.setdefault(order, len(self.order_index))
 
-    def offers(self, p_idx: int, outer_orders, beams, rows):
+    def tile(self, outer_orders, live):
+        """One L2 tile's table: ``(batch, row_of, rank)``.
+
+        ``live`` maps each live parallelism to its beams and the indices
+        of its outer orders that can still win; only rows under those
+        orders enter, block by block in legacy-rank order.
+        ``row_of[p]`` maps block ``p``'s legacy ranks to table rows
+        (``-1`` for rows left out) and ``rank`` maps table rows back.
+        """
         import numpy as np
 
         from repro.core.batch import CandidateBatch
 
-        # Order indices resolve once per order per block, not per row.
-        inner_ids = self.inner_ids
-        outer_ids = [self._index_of(order) for order in outer_orders]
-        ranks: list[int] = []
-        tiles_rows: list[tuple[tuple[int, ...], ...]] = []
-        inner_col: list[int] = []
-        outer_col: list[int] = []
-        for row, i, b, q in rows:
-            ranks.append(row)
+        outer_ids = np.array(
+            [self._index_of(order) for order in outer_orders], dtype=np.int64
+        )
+        #: Per (inner order, beam) pair: its extents, inner id and copies
+        #: (one per admitted outer order).
+        extents, inner, copies = [], [], []
+        outer, par, ranks = [], [], []
+        row_of: dict[int, "np.ndarray"] = {}
+        start = 0
+        for p_idx, (beams, admitted) in live.items():
+            pairs = list(_beam_pairs(beams, self.keep_allocations))
+            kept = np.zeros(len(outer_orders), dtype=bool)
+            kept[admitted] = True
+            kept = np.tile(kept, len(pairs))
+            n = len(admitted) * len(pairs)
+            row_of[p_idx] = np.full(kept.size, -1, dtype=np.int64)
+            row_of[p_idx][kept] = np.arange(start, start + n)
+            start += n
             # The allocator's per-level extents, lowered without TileShapes.
-            tiles_rows.append(beams[i].extents[b])
-            inner_col.append(inner_ids[i])
-            outer_col.append(outer_ids[q])
-        if not ranks:
-            return
-        n = len(ranks)
+            extents.extend(beams[i].extents[b] for i, b in pairs)
+            inner.extend(self.inner_ids[i] for i, _ in pairs)
+            copies.extend([len(admitted)] * len(pairs))
+            outer.append(np.tile(outer_ids[admitted], len(pairs)))
+            par.append(np.full(n, p_idx, dtype=np.int64))
+            ranks.append(np.flatnonzero(kept))
+        if not start:
+            return None
         batch = CandidateBatch(
             self.layer,
             self.arch,
             tuple(self.order_index),
             self.parallelisms,
-            # (rows, levels, dims) -> (levels, dims, rows)
-            np.ascontiguousarray(
-                np.array(tiles_rows, dtype=np.int64).transpose(1, 2, 0)
+            # (pairs, levels, dims) -> (levels, dims, rows)
+            np.repeat(
+                np.array(extents, dtype=np.int64).transpose(1, 2, 0),
+                copies, axis=2,
             ),
-            np.array(outer_col, dtype=np.int64),
-            np.array(inner_col, dtype=np.int64),
-            np.full(n, p_idx, dtype=np.int64),
+            np.concatenate(outer),
+            np.repeat(np.array(inner, dtype=np.int64), copies),
+            np.concatenate(par),
         )
+        return batch, row_of, np.concatenate(ranks)
+
+    def offers(self, table, p_idx: int, outer_orders, beams, rows):
+        import numpy as np
+
+        drained = [row for row, _, _, _ in rows]
+        if not drained:
+            return
+        batch, row_of, rank = table
+        picked = row_of[p_idx][drained]
+        # The table holds every row a block can drain (docs/INVARIANTS.md).
+        assert picked.min() >= 0, "drained a row its tile table left out"
         # First minimum wins, also across chunk boundaries when
-        # ``max_table_bytes`` caps the score table, so chunked and
+        # ``max_table_bytes`` caps the score pass, so chunked and
         # unchunked runs are bit-identical.
         winner, score, finite = batch.best(
-            self.objective, max_table_bytes=self.max_table_bytes
+            self.objective, rows=picked, max_table_bytes=self.max_table_bytes
         )
         self.evaluated += finite
         # An all-infeasible block (score inf) is never offered: it could
         # tie the initial incumbent through the rank rule.
         if np.isfinite(score):
-            yield score, ranks[winner], (batch, winner)
+            yield score, int(rank[winner]), (batch, winner)
 
     @staticmethod
     def materialize(handle) -> Evaluation:

@@ -207,16 +207,14 @@ def parallelism_candidates(
         Dim.F: layer.out_f,
     }
     grid = [d for d in _PARALLEL_DEGREE_GRID if d <= total]
-    seen: set[tuple[int, int, int, int]] = set()
+    on_grid = set(grid)
     results: list[Parallelism] = []
-    for k, h, w, f in itertools.product(grid, repeat=4):
-        if k * h * w * f != total:
-            continue
-        key = (k, h, w, f)
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(Parallelism(k=k, h=h, w=w, f=f))
+    # ``f`` is fixed by the other three degrees, so this walks grid^3
+    # (not grid^4) in the same lexicographic (k, h, w, f) order.
+    for k, h, w in itertools.product(grid, repeat=3):
+        f, remainder = divmod(total, k * h * w)
+        if remainder == 0 and f in on_grid:
+            results.append(Parallelism(k=k, h=h, w=w, f=f))
 
     def slack(par: Parallelism) -> float:
         """How badly the degrees overshoot the available work (lower is

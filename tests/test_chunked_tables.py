@@ -338,6 +338,37 @@ class TestChunkedEvaluation:
         assert slices == [len(batch)]
         assert np.array_equal(full, chunked)
 
+    def test_tile_table_search_identical_under_tiny_cap(self, monkeypatch):
+        """A search whose per-tile score passes stream two rows at a time
+        picks the uncapped search's winner, score and counters."""
+        from repro.optimizer.search import LayerOptimizer
+
+        layer = ConvLayer(
+            "tile", h=14, w=14, c=32, f=4, k=48, r=3, s=3, t=3,
+            pad_h=1, pad_w=1, pad_f=1,
+        )
+        arch = morph()
+        options = SMALL_OPTIONS.with_(vectorize=True)
+        plain = LayerOptimizer(arch, options).optimize(layer)
+
+        slices: list[int] = []
+        original = CandidateBatch._scores_slice
+
+        def tracking(self, objective, sl):
+            slices.append(sl.stop - sl.start)
+            return original(self, objective, sl)
+
+        monkeypatch.setattr(CandidateBatch, "_scores_slice", tracking)
+        cap = 2 * 8 * (arch.num_levels * 5 + batch_mod._WORKSPACE_COLUMNS)
+        capped = LayerOptimizer(
+            arch, options.with_(max_table_bytes=cap)
+        ).optimize(layer)
+        assert max(slices) == 2 and len(slices) > 2
+        assert capped.best.dataflow == plain.best.dataflow
+        assert capped.score == plain.score
+        for counter in ("evaluated", "pruned", "first_block_won"):
+            assert getattr(capped, counter) == getattr(plain, counter)
+
     def test_plan_chunk_rows_memoized(self):
         rows = batch_mod.plan_chunk_rows(100, 1000)
         assert rows == 10

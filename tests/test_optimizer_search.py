@@ -253,11 +253,14 @@ class TestParallelismDisplacement:
 
 class TestAllocatorCallShape:
     """The columnar search allocates each L2 tile once, in one beam over
-    all of its live parallelisms and inner orders: call counts, not
-    times, so a regression to one allocator call per block (or per inner
-    order) fails here."""
+    all of its live parallelisms and inner orders, and scores the tile's
+    rows in one table: call counts, not times, so a regression to one
+    allocator call or score pass per block (or per inner order) fails
+    here."""
 
-    def test_one_allocation_and_one_score_pass_per_level(self, monkeypatch):
+    def _spied_search(self, monkeypatch, options):
+        """Run a columnar search on C3D layer3a under ``options`` and
+        return its call counts."""
         from repro.arch.accelerator import morph
         from repro.core import batch
         from repro.optimizer import search
@@ -265,35 +268,60 @@ class TestAllocatorCallShape:
 
         layer = build_network("c3d").layers[2]  # layer3a
         arch = morph()
-        optimizer = LayerOptimizer(arch, OptimizerOptions(vectorize=True))
-        counts = {"allocate": 0, "fill": 0}
+        optimizer = LayerOptimizer(arch, options.with_(vectorize=True))
+        counts = {"allocate": 0, "fill": 0, "score": 0, "best": 0,
+                  "drained_blocks": 0}
         block_tiles = []  # the L2 tile of every allocated block
         calls = []  # (L2 tile, inner orders, parallelisms covered)
 
         offers = search._ColumnarBlocks.offers
         allocate = search.allocate_hierarchy
         fill = batch.boundary_fill_bytes_sum
+        scores = batch.CandidateBatch.scores
+        best = batch.CandidateBatch.best
 
-        def counting_offers(self, p_idx, outer_orders, beams, rows):
+        def counting_offers(self, table, p_idx, outer_orders, beams, rows):
             # One offer pass per allocated block; every beam starts at
             # the block's L2 tile.
             block_tiles.append(next(b for b in beams if b)[0][0])
-            return offers(self, p_idx, outer_orders, beams, rows)
+            drained = []
+
+            def tap():
+                for row in rows:
+                    drained.append(row)
+                    yield row
+
+            yield from offers(self, table, p_idx, outer_orders, beams, tap())
+            counts["drained_blocks"] += bool(drained)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
 
         def counting_allocate(*args, **kwargs):
-            counts["allocate"] += 1
             calls.append((args[2], args[3], len(kwargs["per_parallelism"])))
             return allocate(*args, **kwargs)
 
-        def counting_fill(*args, **kwargs):
-            counts["fill"] += 1
-            return fill(*args, **kwargs)
-
         monkeypatch.setattr(search._ColumnarBlocks, "offers", counting_offers)
-        monkeypatch.setattr(search, "allocate_hierarchy", counting_allocate)
-        monkeypatch.setattr(batch, "boundary_fill_bytes_sum", counting_fill)
+        monkeypatch.setattr(
+            search, "allocate_hierarchy", counting("allocate", counting_allocate)
+        )
+        monkeypatch.setattr(
+            batch, "boundary_fill_bytes_sum", counting("fill", fill)
+        )
+        monkeypatch.setattr(
+            batch.CandidateBatch, "scores", counting("score", scores)
+        )
+        monkeypatch.setattr(batch.CandidateBatch, "best", counting("best", best))
         optimizer.optimize(layer)
+        return arch, optimizer, counts, block_tiles, calls
 
+    def test_one_allocation_and_one_score_pass_per_level(self, monkeypatch):
+        arch, optimizer, counts, block_tiles, calls = self._spied_search(
+            monkeypatch, OptimizerOptions()
+        )
         assert len(block_tiles) > counts["allocate"] > 1
         assert counts["allocate"] == len(set(block_tiles))
         assert len({tile for tile, _, _ in calls}) == counts["allocate"]
@@ -303,3 +331,27 @@ class TestAllocatorCallShape:
         )
         assert len(calls[0][1]) > 1
         assert max(covered for _, _, covered in calls) > 1
+
+    def test_one_score_pass_per_tile_one_best_per_block(self, monkeypatch):
+        """Unbudgeted: one scored table per allocator call, while
+        ``CandidateBatch.best`` still runs once per block with drained
+        rows (each picks its winner from its own rows of the table)."""
+        _, _, counts, block_tiles, _ = self._spied_search(
+            monkeypatch, OptimizerOptions()
+        )
+        assert counts["score"] == counts["allocate"]
+        assert counts["best"] == counts["drained_blocks"]
+        assert counts["best"] > counts["score"]
+        assert len(block_tiles) >= counts["drained_blocks"]
+
+    def test_budgeted_search_scores_one_table_per_visited_block(
+        self, monkeypatch
+    ):
+        """A budgeted search (here one that never runs out) allocates and
+        tables only the block it visits."""
+        _, _, counts, block_tiles, calls = self._spied_search(
+            monkeypatch, OptimizerOptions(budget_ms=1e9)
+        )
+        assert counts["allocate"] == len(block_tiles)
+        assert all(covered == 1 for _, _, covered in calls)
+        assert counts["score"] == counts["best"] == counts["drained_blocks"]

@@ -123,6 +123,43 @@ class TestParallelismCandidates:
     def test_count_bounded(self, morph_arch):
         assert len(parallelism_candidates(morph_arch, LAYER, max_candidates=5)) <= 5
 
+    @pytest.mark.parametrize(
+        "clusters,pes_per_cluster", [(6, 16), (4, 16), (3, 9), (1, 7)]
+    )
+    def test_matches_brute_force_product(self, clusters, pes_per_cluster):
+        """Solving for ``f`` yields the grid^4 product's factorisations in
+        its order, so the stable slack sort ranks them identically (7 PEs
+        has no grid factorisation and falls back to no parallelism)."""
+        import itertools
+
+        from repro.arch.accelerator import morph
+        from repro.core.dataflow import Parallelism
+        from repro.optimizer.space import _PARALLEL_DEGREE_GRID
+
+        arch = morph(clusters=clusters, pes_per_cluster=pes_per_cluster)
+        total = arch.total_pes
+        grid = [d for d in _PARALLEL_DEGREE_GRID if d <= total]
+        brute = [
+            Parallelism(k=k, h=h, w=w, f=f)
+            for k, h, w, f in itertools.product(grid, repeat=4)
+            if k * h * w * f == total
+        ]
+        caps = {Dim.K: LAYER.k, Dim.H: LAYER.out_h, Dim.W: LAYER.out_w,
+                Dim.F: LAYER.out_f}
+
+        def slack(par):
+            penalty = 1.0
+            for dim, cap in caps.items():
+                penalty *= max(1.0, par.of(dim) / max(cap, 1))
+            return penalty
+
+        brute.sort(key=lambda p: (slack(p), p.replication(DataType.INPUTS)
+                                  + p.replication(DataType.WEIGHTS)))
+        expected = brute or [Parallelism.none()]
+        assert parallelism_candidates(
+            arch, LAYER, max_candidates=len(grid) ** 4
+        ) == expected
+
     def test_replication_tie_break(self, morph_arch):
         """Among zero-slack candidates, low replication ranks first."""
         candidates = parallelism_candidates(morph_arch, LAYER, max_candidates=12)
