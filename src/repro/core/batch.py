@@ -586,48 +586,28 @@ class CandidateBatch:
         rows: "np.ndarray | None" = None,
         max_table_bytes: int | None = None,
     ) -> tuple[int, float, int]:
-        """First-min winner: ``(index, score, finite_count)``.
+        """First-min winner among ``rows``: ``(index, score,
+        finite_count)``.
 
-        Equivalent to ``np.argmin`` over :meth:`scores` (ties break to
-        the lowest row index, i.e. the lowest legacy candidate rank)
-        but streams the table in chunks under ``max_table_bytes`` with
-        a carried reduction, so the full score column is never
-        materialised.  ``index`` is ``-1`` only for an empty batch.
-
-        ``rows`` (ascending row indices) restricts the sweep to those
-        rows, and ``finite_count`` to them.  The table's score column is
-        then computed once per objective, by :meth:`scores` under the
-        same cap, and kept, so one table serves many subsets; a row's
-        score does not depend on which rows share its table.
+        ``rows`` (ascending row indices, all rows by default) restricts
+        the winner and ``finite_count`` to those rows.  ``np.argmin``
+        over :meth:`scores`, so ties break to the lowest row index, i.e.
+        the lowest legacy candidate rank; ``index`` is ``-1`` only when
+        no row is picked.  The score column is computed once per
+        objective, by :meth:`scores` under ``max_table_bytes``, and
+        kept, so one table serves many row subsets: a row's score does
+        not depend on which rows share its table.
         """
-        if rows is not None:
-            column = self._score_columns.get(objective)
-            if column is None:
-                column = self.scores(objective, max_table_bytes=max_table_bytes)
-                self._score_columns[objective] = column
-            picked = column[rows]
-            if not len(picked):
-                return -1, float("inf"), 0
-            local = int(np.argmin(picked))
-            finite = int(np.isfinite(picked).sum())
-            return int(rows[local]), float(picked[local]), finite
-        n = len(self)
-        if n == 0:
+        column = self._score_columns.get(objective)
+        if column is None:
+            column = self.scores(objective, max_table_bytes=max_table_bytes)
+            self._score_columns[objective] = column
+        picked = column if rows is None else column[rows]
+        if not len(picked):
             return -1, float("inf"), 0
-        cap = resolve_max_table_bytes(max_table_bytes)
-        rows = n if cap is None else plan_chunk_rows(self._row_bytes(), cap)
-        best_index, best_score, finite = -1, float("inf"), 0
-        for start in range(0, n, rows):
-            sl = slice(start, min(start + rows, n))
-            chunk = self._scores_slice(objective, sl)
-            finite += int(np.isfinite(chunk).sum())
-            local = int(np.argmin(chunk))
-            score = float(chunk[local])
-            # Strict < keeps the earliest chunk's row on equal scores,
-            # so the global first-min tie-break survives chunking.
-            if best_index < 0 or score < best_score:
-                best_index, best_score = start + local, score
-        return best_index, best_score, finite
+        local = int(np.argmin(picked))
+        index = local if rows is None else int(rows[local])
+        return index, float(picked[local]), int(np.isfinite(picked).sum())
 
     def _scores_slice(self, objective: str, sl: slice) -> "np.ndarray":
         """The score pipeline over one contiguous slice of columns."""

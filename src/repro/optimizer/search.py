@@ -994,9 +994,9 @@ class _ColumnarBlocks:
         picked = row_of[p_idx][drained]
         # The table holds every row a block can drain (docs/INVARIANTS.md).
         assert picked.min() >= 0, "drained a row its tile table left out"
-        # First minimum wins, also across chunk boundaries when
-        # ``max_table_bytes`` caps the score pass, so chunked and
-        # unchunked runs are bit-identical.
+        # First minimum of the block's rows (in legacy-rank order) wins;
+        # a ``max_table_bytes`` cap chunks the table's score pass, which
+        # is bit-identical to the unchunked one.
         winner, score, finite = batch.best(
             self.objective, rows=picked, max_table_bytes=self.max_table_bytes
         )
